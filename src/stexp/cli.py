@@ -33,7 +33,6 @@ from .contrastive import (
     save_checkpoint,
 )
 from .data import (
-    DataFormatError,
     GenConfig,
     load_dataset,
     load_slide,
@@ -209,12 +208,18 @@ def train_config_from(config: dict) -> TrainConfig:
 # ---------------------------------------------------------------------------
 
 
+def check_out_dir(out: str | Path) -> None:
+    """Refuse an output directory that already has contents."""
+    out = Path(out)
+    if out.exists() and any(out.iterdir()):
+        raise ValidationError(f"output directory {out} already exists and is not empty")
+
+
 @contextmanager
 def atomic_out_dir(out: str | Path):
     """Yield a staging directory that is renamed to `out` only on success."""
     out = Path(out)
-    if out.exists() and any(out.iterdir()):
-        raise ValidationError(f"output directory {out} already exists and is not empty")
+    check_out_dir(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     staging = out.parent / f".tmp-{out.name}-{uuid.uuid4().hex[:8]}"
     staging.mkdir()
@@ -582,11 +587,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out is not None:  # before any load, training or prediction starts
+            check_out_dir(args.out)
         return args.func(args)
-    except (ValidationError, DataFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except ValueError as e:  # ValidationError, DataFormatError and other bad input
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime failures, including training divergence

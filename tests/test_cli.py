@@ -64,6 +64,19 @@ class TestGenData:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("command", [
+        ["embed", "--checkpoint", "missing", "--data", "missing"],
+        ["predict", "--checkpoint", "missing", "--index", "missing", "--slide", "missing"],
+        ["train", "--data", "missing"],
+    ])
+    def test_occupied_out_rejected_before_any_work(self, tmp_path, capsys, command):
+        out = tmp_path / "occupied"
+        out.mkdir()
+        (out / "junk").write_text("x")
+        assert main([*command, "--out", str(out)]) == 1
+        assert f"output directory {out}" in capsys.readouterr().err
+        assert (out / "junk").read_text() == "x"
+
     def test_unknown_subcommand_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1
 

@@ -1,8 +1,11 @@
 """Retrieval index contracts, top-k against brute force, aggregation arithmetic."""
 
+import json
+
 import numpy as np
 import pytest
 
+from stexp import encoders, inference
 from stexp.contrastive import Checkpoint, TrainConfig, fit
 from stexp.data import GenConfig, load_dataset, preprocess, synth_generate
 from stexp.encoders import EncoderConfig
@@ -10,12 +13,14 @@ from stexp.inference import (
     LeakageError,
     RetrievalIndex,
     aggregate,
+    aggregate_rows,
     build_index,
     encode_slide_patches,
     load_index,
     predict_slide,
     query_topk,
     save_index,
+    search,
 )
 
 
@@ -31,6 +36,30 @@ def make_index(n=20, d=8, g=5, seed=0):
         expressions=rng.uniform(0, 10, (n, g)).astype(np.float32),
         provenance=[("ref", i) for i in range(n)],
     )
+
+
+def reference_predict(index, queries, k):
+    """Independent implementation: no index structure, float64, plain loops."""
+    emb = index.embeddings.astype(np.float64)
+    expr = index.expressions.astype(np.float64)
+    want = np.empty((len(queries), expr.shape[1]))
+    for i, q in enumerate(queries.astype(np.float64)):
+        cos = emb @ q
+        order = sorted(range(len(cos)), key=lambda r: (-cos[r], r))[:k]
+        d = np.sqrt(((emb[order] - q) ** 2).sum(axis=1))
+        if np.any(d < 1e-8):
+            want[i] = expr[order[int(np.argmin(d))]]
+        else:
+            w = d**-2.0
+            w = w / w.sum()
+            want[i] = w @ expr[order]
+    return want
+
+
+def blocks_of(monkeypatch, index, queries_per_block):
+    """Shrink the search block budget to a few queries per block."""
+    monkeypatch.setattr(inference, "SEARCH_BLOCK_BYTES",
+                        queries_per_block * index.size * index.embeddings.itemsize)
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +150,12 @@ class TestQueryTopk:
         got = [t[0] for t in query_topk(index, emb[0], 3)]
         assert got == [0, 1, 2]
 
+    def test_non_finite_query_rejected(self):
+        q = unit_rows(1, 8)[0]
+        q[2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            query_topk(make_index(), q, 3)
+
     def test_k_validation(self):
         index = make_index(n=5)
         q = unit_rows(1, 8)[0]
@@ -208,29 +243,71 @@ class TestPredictSlide:
             predict_slide(ckpt, index, ds.train_slides()[0], k=3)
 
     def test_agrees_with_straight_line_reference(self, trained):
-        # independent implementation: no index structure, plain loops
         ckpt, ds = trained
         index = build_index(ckpt, ds.train_slides())
         test = ds.test_slides()[0]
-        k = 7
-        got = predict_slide(ckpt, index, test, k=k)
-
-        queries = encode_slide_patches(test, ckpt)
-        emb = index.embeddings.astype(np.float64)
-        expr = index.expressions.astype(np.float64)
-        want = np.empty_like(got)
-        for i in range(test.spot_num):
-            q = queries[i].astype(np.float64)
-            cos = emb @ q
-            order = sorted(range(len(cos)), key=lambda r: (-cos[r], r))[:k]
-            d = np.sqrt(((emb[order] - q) ** 2).sum(axis=1))
-            if np.any(d < 1e-8):
-                want[i] = expr[order[int(np.argmin(d))]]
-            else:
-                w = d**-2.0
-                w = w / w.sum()
-                want[i] = w @ expr[order]
+        got = predict_slide(ckpt, index, test, k=7)
+        want = reference_predict(index, encode_slide_patches(test, ckpt), 7)
         np.testing.assert_allclose(got, want, atol=1e-6)
+
+    @pytest.fixture
+    def no_encoding(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a patch was encoded before the inputs were checked")
+
+        monkeypatch.setattr(encoders, "embed_patches", refuse)
+
+    def test_bad_k_rejected_before_encoding(self, trained, no_encoding):
+        ckpt, ds = trained
+        index = build_index(ckpt, ds.train_slides())
+        for k in (0, index.size + 1):
+            with pytest.raises(ValueError, match="k="):
+                predict_slide(ckpt, index, ds.test_slides()[0], k=k)
+
+    def test_index_of_another_embedding_size_rejected(self, trained, no_encoding):
+        ckpt, ds = trained
+        with pytest.raises(ValueError, match="d_embed=32"):
+            predict_slide(ckpt, make_index(n=20, d=8), ds.test_slides()[0], k=3)
+
+
+class TestBatchedSearch:
+    def test_ragged_blocks_match_reference(self, trained, monkeypatch):
+        ckpt, ds = trained
+        index = build_index(ckpt, ds.train_slides())
+        test = ds.test_slides()[0]
+        assert test.spot_num % 3 != 0  # the last block is ragged
+        blocks_of(monkeypatch, index, 3)
+        got = predict_slide(ckpt, index, test, k=9)
+        want = reference_predict(index, encode_slide_patches(test, ckpt), 9)
+        np.testing.assert_allclose(got, want, atol=1e-6)
+
+    def test_ties_at_the_cut_go_to_lower_rows(self, monkeypatch):
+        # one-hot rows and queries: every cosine is exactly 0 or 1
+        axes = [0, 1, 0, 2, 0, 3, 0, 1, 0, 2, 0, 0]
+        index = RetrievalIndex(
+            embeddings=np.eye(4, dtype=np.float32)[axes],
+            expressions=np.arange(24, dtype=np.float32).reshape(12, 2),
+            provenance=[("r", i) for i in range(12)],
+        )
+        queries = np.eye(4, dtype=np.float32)[[0, 1, 2, 3, 0]]
+        blocks_of(monkeypatch, index, 2)
+        rows, cosines, dists = search(index, queries, 3)
+        np.testing.assert_array_equal(rows, [[0, 2, 4], [1, 7, 0], [3, 9, 0], [5, 0, 1], [0, 2, 4]])
+        np.testing.assert_array_equal(cosines[:, 0], 1.0)
+        np.testing.assert_array_equal(dists[:, 0], 0.0)
+
+    def test_exact_row_query_passes_through_alone(self, trained, monkeypatch):
+        ckpt, ds = trained
+        index = build_index(ckpt, ds.train_slides())
+        queries = encode_slide_patches(ds.test_slides()[0], ckpt)
+        queries[4] = index.embeddings[17]  # middle query of the block [3, 4, 5]
+        blocks_of(monkeypatch, index, 3)
+        rows, _, dists = search(index, queries, 7)
+        got = aggregate_rows(index, rows, dists)
+        assert rows[4, 0] == 17 and dists[4, 0] == 0.0
+        np.testing.assert_array_equal(got[4], index.expressions[17].astype(np.float64))
+        np.testing.assert_allclose(got, reference_predict(index, queries, 7), atol=1e-6)
+        assert not np.any(dists[np.arange(len(queries)) != 4] < 1e-8)
 
 
 class TestIndexPersistence:
@@ -242,3 +319,20 @@ class TestIndexPersistence:
         np.testing.assert_array_equal(back.embeddings, index.embeddings)
         np.testing.assert_array_equal(back.expressions, index.expressions)
         assert back.provenance == index.provenance
+
+    @pytest.mark.parametrize("blob", ["embeddings.f32", "expressions.f32"])
+    def test_truncated_blob_rejected(self, tmp_path, blob):
+        save_index(make_index(), tmp_path / "idx")
+        path = tmp_path / "idx" / blob
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(ValueError, match=blob):
+            load_index(tmp_path / "idx")
+
+    def test_missing_provenance_entry_rejected(self, tmp_path):
+        save_index(make_index(), tmp_path / "idx")
+        path = tmp_path / "idx" / "provenance.json"
+        meta = json.loads(path.read_text())
+        meta["entries"].pop()
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="provenance.json lists 19 entries for 20 rows"):
+            load_index(tmp_path / "idx")
