@@ -13,6 +13,7 @@ import argparse
 import copy
 import json
 import logging
+import math
 import os
 import shutil
 import sys
@@ -27,6 +28,7 @@ from . import evaluation as ev
 from . import inference
 from .contrastive import (
     TrainConfig,
+    TrainingDiverged,
     build_loss_graph,
     fit,
     load_checkpoint,
@@ -80,7 +82,7 @@ DEFAULT_CONFIG = {
         "epsilon": 1e-8,
     },
     "inference": {"k": 50},
-    "eval": {"heg_size": 50, "pca_components": 20, "clusters": None},
+    "eval": {"pca_components": 20, "clusters": None},
 }
 
 ABLATION_TOGGLES = ("no_positional_encoding", "no_mhsa", "no_image_path")
@@ -235,6 +237,26 @@ def atomic_out_dir(out: str | Path):
 
 def _write_config_echo(directory: Path, config: dict) -> None:
     (directory / "config.resolved.json").write_text(json.dumps(config, sort_keys=True, indent=1) + "\n")
+
+
+def _strict_json(value):
+    """Non-finite floats as the strings "nan", "inf" and "-inf", which strict JSON can hold."""
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
+
+
+def _write_divergence_snapshot(out: str | Path, snapshot: dict) -> Path:
+    """Write a diverged run's snapshot to <out>.failed/divergence.json; returns that path."""
+    failed = Path(f"{out}.failed")
+    failed.mkdir(parents=True, exist_ok=True)
+    path = failed / "divergence.json"
+    path.write_text(json.dumps(_strict_json(snapshot), sort_keys=True, indent=1, allow_nan=False) + "\n")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +483,9 @@ def _primitive_check_graphs(rng):
     yield "conv2d", lambda p, i: dc.mean(dc.conv2d(p["x"], p["w"], p["b"], stride=2, padding=1)), {
         "x": rng.standard_normal((2, 3, 6, 6)), "w": rng.standard_normal((4, 3, 3, 3)) * 0.5,
         "b": rng.standard_normal(4) * 0.1}
+    yield "conv2d_s1p0_2x3", lambda p, i: dc.mean(dc.gelu(dc.conv2d(p["x"], p["w"], p["b"]))), {
+        "x": rng.standard_normal((2, 2, 5, 7)), "w": rng.standard_normal((3, 2, 2, 3)) * 0.5,
+        "b": rng.standard_normal(3) * 0.1}
     relu_x = rng.standard_normal((4, 4))
     relu_x[np.abs(relu_x) < 0.05] += 0.1
     yield "relu", lambda p, i: dc.mean(dc.relu(p["x"])), {"x": relu_x}
@@ -593,7 +618,11 @@ def main(argv=None) -> int:
     except ValueError as e:  # ValidationError, DataFormatError and other bad input
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except Exception as e:  # runtime failures, including training divergence
+    except TrainingDiverged as e:  # train, loocv and ablate: keep the evidence beside --out
+        path = _write_divergence_snapshot(args.out, e.snapshot)
+        print(f"runtime failure: {e}; snapshot written to {path}", file=sys.stderr)
+        return 2
+    except Exception as e:  # other runtime failures
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
 

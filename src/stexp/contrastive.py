@@ -269,29 +269,31 @@ def fit(dataset: ProcessedDataset, train_cfg: TrainConfig, enc_cfg: enc.EncoderC
                 def graph(p, inputs):
                     return build_loss_graph(p, inputs[0], inputs[1], coords, enc_cfg, train_cfg)
 
-                value, grads = dc.evaluate_with_gradients(graph, params, [patch_input, expression])
-                loss = float(value.data.reshape(()))
-                if not np.isfinite(loss):
-                    snapshot = {
-                        "epoch": epoch,
-                        "step": step,
-                        "slide_id": slide.slide_id,
-                        "loss": loss,
-                        "recent_epoch_losses": history[-5:],
-                        "param_norms": {n: float(np.linalg.norm(params[n].data)) for n in params.names()},
-                    }
-                    raise TrainingDiverged(f"fit: loss became {loss} at epoch {epoch} step {step}", snapshot)
+                # A diverging step overflows; the loss check below reports it, not numpy warnings.
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    value, grads = dc.evaluate_with_gradients(graph, params, [patch_input, expression])
+                    loss = float(value.data.reshape(()))
+                    if not np.isfinite(loss):
+                        snapshot = {
+                            "epoch": epoch,
+                            "step": step,
+                            "slide_id": slide.slide_id,
+                            "loss": loss,
+                            "recent_epoch_losses": history[-5:],
+                            "param_norms": {n: float(np.linalg.norm(params[n].data)) for n in params.names()},
+                        }
+                        raise TrainingDiverged(f"fit: loss became {loss} at epoch {epoch} step {step}", snapshot)
 
-                step += 1
-                b1, b2 = train_cfg.beta1, train_cfg.beta2
-                for name, g in grads.items():
-                    m = moments1[name]
-                    v = moments2[name]
-                    m += (1.0 - b1) * (g - m)
-                    v += (1.0 - b2) * (g * g - v)
-                    m_hat = m / (1.0 - b1**step)
-                    v_hat = v / (1.0 - b2**step)
-                    params[name].data -= train_cfg.learning_rate * m_hat / (np.sqrt(v_hat) + train_cfg.epsilon)
+                    step += 1
+                    b1, b2 = train_cfg.beta1, train_cfg.beta2
+                    for name, g in grads.items():
+                        m = moments1[name]
+                        v = moments2[name]
+                        m += (1.0 - b1) * (g - m)
+                        v += (1.0 - b2) * (g * g - v)
+                        m_hat = m / (1.0 - b1**step)
+                        v_hat = v / (1.0 - b2**step)
+                        params[name].data -= train_cfg.learning_rate * m_hat / (np.sqrt(v_hat) + train_cfg.epsilon)
                 epoch_losses.append(loss)
         mean_loss = float(np.mean(epoch_losses))
         history.append(mean_loss)

@@ -99,11 +99,6 @@ def _as_tensor(x, dtype=None) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x, dtype=dtype)
 
 
-def _check_float(t: Tensor, op: str) -> None:
-    if t.data.dtype.kind != "f":
-        raise GraphError(f"{op}: expected float tensor, got dtype {t.data.dtype}")
-
-
 def _result(data, parents, grad_fn, op) -> Tensor:
     requires = any(p.requires_grad for p in parents)
     return Tensor(
@@ -252,17 +247,24 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     return _result(out, tensors, grad_fn, "concat")
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    # xp: [N, C, Hp, Wp] -> [N, Ho*Wo, C*kh*kw]
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]  # [N, C, Ho, Wo, kh, kw]
-    n, c, ho, wo, _, _ = windows.shape
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * kh * kw)
-    return np.ascontiguousarray(cols)
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation) over [N, C, H, W] with optional per-channel bias."""
+    """2-D convolution (cross-correlation) over [N, C, H, W] with optional per-channel bias.
+
+    Lowered to im2col plus flat 2-D GEMMs (Chellapilla et al., 2006). The
+    input is padded once into a zeroed channels-last buffer [N, Hp, Wp, C],
+    and ``cols`` [N, Ho, Wo, kh, kw, C] is filled by kh*kw strided slice
+    copies from it, so each row of ``cols`` [N*Ho*Wo, K] is one receptive
+    field with K = kh*kw*C. The three products are each one GEMM:
+
+        out   = cols @ w_mat.T      [N*L, Cout], returned as contiguous NCHW
+        dW    = g_flat.T @ cols     [Cout, K]
+        dcols = g_flat @ w_mat      [N*L, K], scattered back by kh*kw strided adds
+
+    where w_mat is the kernel reordered to [Cout, kh, kw, C] and g_flat the
+    output gradient as [N*L, Cout]. When ``x`` does not require a gradient
+    (a constant input such as the patch batch), the dcols GEMM and the
+    scatter are skipped and its gradient is None.
+    """
     if x.data.ndim != 4:
         raise GraphError(f"conv2d: expected 4-D input, got {x.shape}")
     if w.data.ndim != 4:
@@ -280,26 +282,33 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1, pa
     if ho < 1 or wo < 1:
         raise GraphError(f"conv2d: kernel {kh}x{kw} does not fit input {h}x{wd} (padding={padding})")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = _im2col(xp, kh, kw, stride)  # [N, Ho*Wo, C*kh*kw]
-    w_flat = w.data.reshape(c_out, -1)
-    out = cols @ w_flat.T  # [N, Ho*Wo, Cout]
-    if b is not None:
-        out = out + b.data
-    out = out.transpose(0, 2, 1).reshape(n, c_out, ho, wo)
-
     parents = (x, w) if b is None else (x, w, b)
+    dtype = np.result_type(*(t.data for t in parents))
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    xp = np.zeros((n, hp, wp, c_in), dtype=dtype)
+    xp[:, padding : padding + h, padding : padding + wd] = x.data.transpose(0, 2, 3, 1)
+    cols = np.empty((n, ho, wo, kh, kw, c_in), dtype=dtype)
+    windows = [(i, j, np.s_[:, i : i + stride * ho : stride, j : j + stride * wo : stride])
+               for i in range(kh) for j in range(kw)]
+    for i, j, window in windows:
+        cols[:, :, :, i, j] = xp[window]
+    cols = cols.reshape(n * ho * wo, kh * kw * c_in)
+    w_mat = w.data.transpose(0, 2, 3, 1).reshape(c_out, -1)
+    out = cols @ w_mat.T  # [N*L, Cout]
+    if b is not None:
+        out += b.data
+    out = np.ascontiguousarray(out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2))
 
     def grad_fn(g):
-        g_flat = g.reshape(n, c_out, ho * wo).transpose(0, 2, 1)  # [N, Ho*Wo, Cout]
-        dw = np.einsum("nlo,nlk->ok", g_flat, cols).reshape(w.shape)
-        dcols = g_flat @ w_flat  # [N, Ho*Wo, C*kh*kw]
-        dcols = dcols.reshape(n, ho, wo, c_in, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, :, :, :, i, j]
-        dx = dxp[:, :, padding : padding + h, padding : padding + wd] if padding else dxp
+        g_flat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, c_out)
+        dw = (g_flat.T @ cols).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
+        dx = None
+        if x.requires_grad:
+            dcols = (g_flat @ w_mat).reshape(n, ho, wo, kh, kw, c_in)
+            dxp = np.zeros_like(xp)
+            for i, j, window in windows:
+                dxp[window] += dcols[:, :, :, i, j]
+            dx = dxp[:, padding : padding + h, padding : padding + wd].transpose(0, 3, 1, 2)
         if b is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))

@@ -1,6 +1,7 @@
 """CLI behavior: reproducibility, exit codes, atomic outputs, ablation tables."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,19 @@ class TestValidation:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"nonsense_section": {}}))
         assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("source", ["set", "file"])
+    def test_unread_heg_size_key_rejected(self, tmp_path, capsys, source):
+        # compute_metrics always ranks evaluation.HEG_SIZE genes; the key was never read
+        if source == "set":
+            args = ["--set", "eval.heg_size=10"]
+        else:
+            path = tmp_path / "heg.json"
+            path.write_text(json.dumps({"eval": {"heg_size": 10}}))
+            args = ["--config", str(path)]
+        assert main(["gen-data", *args, "--out", str(tmp_path / "x")]) == 1
+        assert "unknown config key: eval.heg_size" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_config_echo_written(self, tmp_path):
         cfg = micro_config(tmp_path)
@@ -214,3 +228,22 @@ class TestGradCheckCommand:
         out = capsys.readouterr().out
         assert "full_loss_graph" in out
         assert "gradient suite: pass" in out
+
+
+class TestDivergence:
+    def test_train_writes_snapshot_without_warnings(self, tmp_path, capsys):
+        cfg = micro_config(tmp_path)
+        assert main(["gen-data", "--config", str(cfg), "--seed", "2", "--out", str(tmp_path / "d")]) == 0
+        out = tmp_path / "ck"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["train", "--config", str(cfg), "--set", "train.learning_rate=1e12",
+                       "--data", str(tmp_path / "d"), "--out", str(out)])
+        assert rc == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        path = tmp_path / "ck.failed" / "divergence.json"
+        assert str(path) in capsys.readouterr().err
+        snapshot = json.loads(path.read_text(), parse_constant=pytest.fail)  # strict: no NaN/Infinity tokens
+        assert {"epoch", "step", "slide_id", "loss", "param_norms"} <= set(snapshot)
+        assert snapshot["loss"] in ("nan", "inf", "-inf")
+        assert not out.exists()

@@ -21,6 +21,28 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+# (stride, padding) pairs swept by the conv2d geometry tests, on a 5x7 input
+# with a 2x3 kernel so that no index can silently swap rows with columns.
+CONV_GEOMETRIES = [(stride, padding) for stride in (1, 2, 3) for padding in (0, 1, 2)]
+
+
+def _conv2d_reference(x, w, b, stride, padding):
+    """Direct cross-correlation: one window product per output element."""
+    n, _, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    out = np.zeros((n, c_out, ho, wo))
+    for i in range(n):
+        for o in range(c_out):
+            for r in range(ho):
+                for c in range(wo):
+                    window = xp[i, :, r * stride : r * stride + kh, c * stride : c * stride + kw]
+                    out[i, o, r, c] = b[o] + np.sum(window * w[o])
+    return out
+
+
 class TestForward:
     def test_matmul_values(self):
         a = dc.constant([[1.0, 2.0], [3.0, 4.0]])
@@ -56,6 +78,16 @@ class TestForward:
         p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         want = -np.log(p[np.arange(6), targets])
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("stride,padding", CONV_GEOMETRIES)
+    def test_conv2d_matches_direct_loops_64bit(self, stride, padding):
+        rng = _rng(5)
+        x = rng.standard_normal((2, 3, 5, 7))
+        w = rng.standard_normal((4, 3, 2, 3))
+        b = rng.standard_normal(4)
+        got = dc.conv2d(dc.constant(x), dc.constant(w), dc.constant(b), stride=stride, padding=padding).data
+        assert got.flags.c_contiguous
+        np.testing.assert_allclose(got, _conv2d_reference(x, w, b, stride, padding), rtol=0, atol=1e-12)
 
     def test_forward_deterministic(self):
         x = _rng(5).standard_normal((16, 16))
@@ -242,6 +274,30 @@ class TestGradCheckPrimitives:
                 "b": rng.standard_normal(4) * 0.1,
             },
         )
+
+    @pytest.mark.parametrize("stride,padding", CONV_GEOMETRIES)
+    def test_conv2d_geometry(self, stride, padding):
+        rng = _rng(25)
+        self.check(
+            lambda p, i: dc.mean(dc.gelu(dc.conv2d(p["x"], p["w"], p["b"], stride=stride, padding=padding))),
+            {
+                "x": rng.standard_normal((2, 3, 5, 7)),
+                "w": rng.standard_normal((4, 3, 2, 3)) * 0.5,
+                "b": rng.standard_normal(4) * 0.1,
+            },
+        )
+
+    def test_conv2d_constant_input(self):
+        rng = _rng(26)
+        x = rng.standard_normal((2, 3, 6, 5))
+        self.check(
+            lambda p, i: dc.mean(dc.gelu(dc.conv2d(i[0], p["w"], p["b"], stride=2, padding=1))),
+            {"w": rng.standard_normal((4, 3, 3, 3)) * 0.5, "b": rng.standard_normal(4) * 0.1},
+            [x],
+        )
+        out = dc.conv2d(dc.constant(x), dc.Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True))
+        dx, dw = out.grad_fn(np.ones(out.shape))
+        assert dx is None and dw.shape == (4, 3, 3, 3)
 
     def test_relu_away_from_kink(self):
         rng = _rng(21)
