@@ -76,8 +76,9 @@ class TrainConfig:
 
 
 def _check_unit_rows(h: np.ndarray, name: str) -> None:
-    norms = np.linalg.norm(np.asarray(h, dtype=np.float64), axis=1)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)
+    h = np.asarray(h)
+    norms = np.sqrt(np.einsum("ij,ij->i", h, h, dtype=np.float64))  # float64 sums, no float64 copy of h
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # a NaN norm fails too
     if bad.size:
         raise ValueError(f"{name}: row {int(bad[0])} has norm {norms[bad[0]]:.6f}, expected 1 +/- {UNIT_NORM_TOL}")
 

@@ -322,7 +322,7 @@ def relu(x: Tensor) -> Tensor:
     def grad_fn(g):
         return (g * mask,)
 
-    return _result(np.where(mask, x.data, 0), (x,), grad_fn, "relu")
+    return _result(np.maximum(x.data, 0), (x,), grad_fn, "relu")  # a NaN propagates
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)

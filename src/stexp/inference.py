@@ -1,11 +1,11 @@
 """Reference index over training spots and expression prediction by retrieval.
 
 A query patch is embedded into the joint space, the top-k reference spots by
-cosine similarity are fetched from a flat store by a blocked exact scan (one
-float32 GEMM per block of queries, then a per-query k-selection; ties at the
-k-th cosine go to the lower row id), and their observed expressions are
-combined with inverse-square Euclidean-distance weights (computed in the
-embedding space).
+cosine similarity are fetched from a flat store by an exact scan (one float32
+GEMM per block of index rows against all queries, merged into a running
+per-query top-k; ties at the k-th cosine go to the lower row id), and their
+observed expressions are combined with inverse-square Euclidean-distance
+weights (computed in the embedding space).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .contrastive import Checkpoint, _check_unit_rows
 from .data import Slide
 
 NEAR_ZERO_DISTANCE = 1e-8  # below this, the nearest neighbor is returned verbatim
-# Cap on one block's [queries x rows] score buffer: ~40 queries at 102,400 rows.
-SEARCH_BLOCK_BYTES = 16 << 20
+# Cap on one block's [rows x queries] score tile: 8,192 index rows at 128 queries.
+SEARCH_BLOCK_BYTES = 4 << 20
 
 
 class LeakageError(ValueError):
@@ -106,12 +106,14 @@ def _check_k(index: RetrievalIndex, k: int, where: str) -> None:
 def search(index: RetrievalIndex, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact top-k reference rows of each query by cosine, ranked.
 
-    Returns [m, k] arrays of row ids, cosines and Euclidean distances. Queries
-    are scored one block at a time with a float32 GEMM whose score buffer
-    stays within SEARCH_BLOCK_BYTES. Every row scoring at least a query's k-th
-    cosine is a candidate, and candidates are ranked by (-cosine, row id), so
-    ties at the cut go to the lower row id. For unit vectors d^2 = 2 - 2 cos
-    within float tolerance.
+    Returns [m, k] arrays of row ids, cosines and Euclidean distances. The
+    index is read once: each block of rows is scored against all queries by
+    one float32 GEMM whose [rows, m] tile stays within SEARCH_BLOCK_BYTES. In
+    the first block every row scoring at least a query's k-th cosine is a
+    candidate; in later blocks a row must beat the current k-th cosine, as
+    its higher row id loses a tie. Candidates and the current top k are
+    ranked by (-cosine, row id), so the result is the exact top k of the
+    float32 scores. For unit vectors d^2 = 2 - 2 cos within float tolerance.
     """
     emb = index.embeddings
     queries = np.asarray(queries, dtype=emb.dtype)
@@ -120,23 +122,43 @@ def search(index: RetrievalIndex, queries: np.ndarray, k: int) -> tuple[np.ndarr
     if not np.isfinite(queries).all():  # a NaN row would select no candidates
         raise ValueError("search: queries contain NaN/Inf")
     _check_k(index, k, "search")
-    m, n = queries.shape[0], index.size
+    (m, d), n = queries.shape, index.size
     rows = np.empty((m, k), dtype=np.int64)
     cosines = np.empty((m, k), dtype=emb.dtype)
     dists = np.empty((m, k), dtype=emb.dtype)
-    block = max(1, SEARCH_BLOCK_BYTES // (n * emb.itemsize))
-    for lo in range(0, m, block):
-        q = queries[lo : lo + block]
-        scores = q @ emb.T
-        kth = np.partition(scores, n - k, axis=1)[:, n - k]
-        flat = np.flatnonzero(scores >= kth[:, None])  # 2-D np.nonzero is ~10x slower
-        qi, cand = np.divmod(flat, n)
-        cand = cand[np.lexsort((cand, -scores.ravel()[flat], qi))]
-        top = cand[np.searchsorted(qi, np.arange(len(q)))[:, None] + np.arange(k)]
-        diffs = emb[top] - q[:, None, :]
-        rows[lo : lo + block] = top
-        cosines[lo : lo + block] = np.take_along_axis(scores, top, axis=1)
-        dists[lo : lo + block] = np.sqrt(np.sum(diffs * diffs, axis=2))
+    if m == 0:
+        return rows, cosines, dists
+    q_t = np.ascontiguousarray(queries.T)
+    block = max(k, SEARCH_BLOCK_BYTES // (m * emb.itemsize))
+    tile = np.empty((min(block, n), m), dtype=emb.dtype)  # reused: a fresh tile per block page-faults
+    for lo in range(0, n, block):
+        chunk = emb[lo : lo + block]
+        scores = np.matmul(chunk, q_t, out=tile[: len(chunk)])  # [rows, m]
+        if lo == 0:  # every row at or above each query's k-th score
+            by_query = scores.T.copy()  # partitioning contiguous rows is ~2x faster than columns
+            by_query.partition(len(scores) - k, axis=1)
+            hit = scores >= by_query[:, len(scores) - k]
+        else:  # a later row has a higher id, so it must beat the k-th score outright
+            hit = scores > cosines[:, -1]
+        r, qi = np.divmod(np.flatnonzero(hit), m)  # 2-D np.nonzero is ~10x slower
+        if not r.size:
+            continue
+        c, r = scores[r, qi], r + lo
+        hit_q = np.unique(qi)
+        if lo:  # merge with the hit queries' current top k
+            qi = np.concatenate((np.repeat(hit_q, k), qi))
+            r = np.concatenate((rows[hit_q].ravel(), r))
+            c = np.concatenate((cosines[hit_q].ravel(), c))
+        # lexsort is stable, and among equal cosines a query's candidates arrive in
+        # ascending row id (its current top k, then this block's hits): ties keep the lower id
+        order = np.lexsort((-c, qi))
+        qi, r, c = qi[order], r[order], c[order]
+        first_k = np.searchsorted(qi, hit_q)[:, None] + np.arange(k)
+        rows[hit_q], cosines[hit_q] = r[first_k], c[first_k]
+    ranks = max(1, SEARCH_BLOCK_BYTES // (m * d * emb.itemsize))  # caps the [m, ranks, d] differences
+    for j in range(0, k, ranks):
+        diffs = emb[rows[:, j : j + ranks]] - queries[:, None, :]
+        dists[:, j : j + ranks] = np.sqrt(np.sum(diffs * diffs, axis=2))
     return rows, cosines, dists
 
 

@@ -49,6 +49,14 @@ class TestSimilarity:
         with pytest.raises(ValueError, match="norm"):
             similarity(good, bad)
 
+    def test_rejects_nan_row(self):
+        good = random_unit_rows(3, 8)
+        bad = good.copy()
+        bad[1] = np.nan
+        for a, b in ((good, bad), (bad, good)):
+            with pytest.raises(ValueError, match="row 1 has norm nan"):
+                similarity(a, b)
+
     def test_values_in_cosine_range(self):
         a, b = random_unit_rows(20, 16, 1), random_unit_rows(30, 16, 2)
         s = similarity(a, b)

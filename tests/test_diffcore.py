@@ -89,6 +89,16 @@ class TestForward:
         assert got.flags.c_contiguous
         np.testing.assert_allclose(got, _conv2d_reference(x, w, b, stride, padding), rtol=0, atol=1e-12)
 
+    def test_relu_bitwise_equals_where_form_and_propagates_nan(self):
+        x = (_rng(8).standard_normal((4, 16, 9, 9)) * 3).astype(np.float32)
+        x.flat[:4] = [-0.0, 0.0, -1e-45, 1e-45]
+        got = dc.relu(dc.constant(x)).data
+        want = np.where(x > 0, x, 0)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))  # -0.0 -> +0.0 as well
+        x[1, 2, 3, 4] = np.nan
+        assert np.isnan(dc.relu(dc.constant(x)).data[1, 2, 3, 4])
+
     def test_forward_deterministic(self):
         x = _rng(5).standard_normal((16, 16))
         w = _rng(6).standard_normal((16, 16))

@@ -310,6 +310,116 @@ class TestBatchedSearch:
         assert not np.any(dists[np.arange(len(queries)) != 4] < 1e-8)
 
 
+def rows_per_block(monkeypatch, rows, n_queries):
+    """Shrink the search tile budget to a few index rows per block."""
+    monkeypatch.setattr(inference, "SEARCH_BLOCK_BYTES", rows * n_queries * 4)
+
+
+def brute_force(index, queries, k):
+    """Full float64 scan ranked by (-cos, row id): exact when every dot product is."""
+    cos = queries.astype(np.float64) @ index.embeddings.astype(np.float64).T
+    return np.array([sorted(range(index.size), key=lambda r: (-c[r], r))[:k] for c in cos])
+
+
+def exact_index(vectors):
+    """Rows with entries in {0, +-1/2, +-1}: scores against small dyadic queries are exact."""
+    emb = np.array(vectors, dtype=np.float32)
+    return RetrievalIndex(
+        embeddings=emb,
+        expressions=np.arange(2 * len(emb), dtype=np.float32).reshape(-1, 2),
+        provenance=[("r", i) for i in range(len(emb))],
+    )
+
+
+class TestRowBlockedScan:
+    E = np.eye(4)
+    H = 0.5 * np.array([1, -1, 1, 1])  # scores 3.5 against Q[0]
+    # Q[0] scores e0 8, e1 4, e2 2, e3 1; every score below is exact in float32
+    Q = np.array([[8, 4, 2, 1], [1, 2, 4, 8]], dtype=np.float32)
+
+    def test_later_duplicate_of_kth_row_loses_and_ragged_last_block_wins(self, monkeypatch):
+        e = self.E
+        index = exact_index([e[0], -e[0], e[2], e[1],  # block 0: Q[0]'s top 3 is [0, 3, 2]
+                             -e[1], e[2], -e[2], -e[3],  # block 1: row 5 duplicates the k-th row 2
+                             -e[0], self.H])  # ragged block 2: row 9 beats the k-th score
+        rows_per_block(monkeypatch, 4, len(self.Q))
+        rows, cosines, _ = search(index, self.Q, 3)
+        np.testing.assert_array_equal(rows[0], [0, 3, 9])
+        np.testing.assert_array_equal(cosines[0], [8.0, 4.0, 3.5])
+        np.testing.assert_array_equal(rows, brute_force(index, self.Q, 3))
+
+    def test_one_duplicate_ties_the_kth_row_of_one_query_and_beats_the_other(self, monkeypatch):
+        e = self.E
+        index = exact_index([e[0], e[1], e[2], -e[0], -e[1], e[2], -e[3]])
+        rows_per_block(monkeypatch, 3, len(self.Q))  # row 5 in block 1 repeats row 2 of block 0
+        rows, cosines, _ = search(index, self.Q, 3)
+        # Q[0]: row 5 ties its k-th score 2 and loses; Q[1]: it beats the k-th score 1, after row 2
+        np.testing.assert_array_equal(rows, [[0, 1, 2], [2, 5, 1]])
+        np.testing.assert_array_equal(cosines, [[8, 4, 2], [4, 4, 2]])
+
+    def test_k_equals_index_size_in_one_block(self):
+        index = make_index(n=9, seed=11)
+        queries = unit_rows(4, 8, 12)
+        rows, cosines, dists = search(index, queries, index.size)
+        np.testing.assert_array_equal(rows, brute_force(index, queries, index.size))
+        assert np.all(np.diff(cosines, axis=1) <= 0)
+        np.testing.assert_allclose(dists**2, 2.0 - 2.0 * cosines, atol=1e-5)
+
+    def test_index_smaller_than_one_block(self):
+        index = make_index(n=30, seed=13)
+        queries = unit_rows(5, 8, 14)
+        assert index.size < inference.SEARCH_BLOCK_BYTES // (len(queries) * 4)
+        rows, _, _ = search(index, queries, 4)
+        np.testing.assert_array_equal(rows, brute_force(index, queries, 4))
+
+    def test_no_queries(self):
+        rows, cosines, dists = search(make_index(), np.empty((0, 8), dtype=np.float32), 6)
+        assert rows.shape == cosines.shape == dists.shape == (0, 6)
+        assert rows.dtype == np.int64 and cosines.dtype == dists.dtype == np.float32
+
+    @pytest.mark.parametrize("k", [1, 7, 50])
+    def test_many_row_blocks_match_reference(self, monkeypatch, k):
+        index = make_index(n=700, d=8, seed=15)
+        queries = unit_rows(50, 8, 16)
+        rows_per_block(monkeypatch, 64, len(queries))  # 11 blocks, the last one ragged
+        rows, _, dists = search(index, queries, k)
+        np.testing.assert_array_equal(rows, brute_force(index, queries, k))
+        np.testing.assert_allclose(aggregate_rows(index, rows, dists),
+                                   reference_predict(index, queries, k), atol=1e-6)
+
+
+class TestUnitNormCheck:
+    def nan_row_index(self):
+        index = make_index()
+        emb = index.embeddings.copy()
+        emb[3] = np.nan
+        return emb, index
+
+    def test_nan_row_rejected(self):
+        emb, index = self.nan_row_index()
+        with pytest.raises(ValueError, match="row 3 has norm nan"):
+            RetrievalIndex(embeddings=emb, expressions=index.expressions, provenance=index.provenance)
+
+    def test_nan_row_rejected_on_load(self, tmp_path):
+        emb, index = self.nan_row_index()
+        save_index(index, tmp_path / "idx")
+        emb.astype("<f4").tofile(tmp_path / "idx" / "embeddings.f32")
+        with pytest.raises(ValueError, match="row 3 has norm nan"):
+            load_index(tmp_path / "idx")
+
+    @pytest.mark.parametrize("norm,accepted", [(1 + 2e-5, False), (1 + 5e-6, True), (1 - 2e-5, False)])
+    def test_tolerance_edge(self, norm, accepted):
+        index = make_index()
+        emb = index.embeddings.copy()
+        emb[5] = 0.0
+        emb[5, 2] = norm
+        if accepted:
+            RetrievalIndex(embeddings=emb, expressions=index.expressions, provenance=index.provenance)
+        else:
+            with pytest.raises(ValueError, match="row 5 has norm"):
+                RetrievalIndex(embeddings=emb, expressions=index.expressions, provenance=index.provenance)
+
+
 class TestIndexPersistence:
     def test_round_trip(self, trained, tmp_path):
         ckpt, ds = trained
