@@ -11,15 +11,19 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import logging
 import math
 import os
 import shutil
 import sys
+import types
+import typing
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from .contrastive import (
     TrainConfig,
     TrainingDiverged,
     build_loss_graph,
+    config_from_json,
     fit,
     load_checkpoint,
     save_checkpoint,
@@ -38,6 +43,7 @@ from .data import (
     GenConfig,
     load_dataset,
     load_slide,
+    preprocess,
     synth_generate,
     transform_slide,
 )
@@ -46,44 +52,6 @@ from .encoders import EncoderConfig, init_params
 log = logging.getLogger(__name__)
 
 SEED_ENV_VAR = "STEXP_SEED"
-
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "data": {
-        "slides": 4,
-        "spots_per_slide": 128,
-        "gene_num": 96,
-        "domains": 4,
-        "signal": 1.0,
-        "patch": [3, 32, 32],
-        "coord_max": 256,
-        "library_size": 4000,
-        "hvg_num": 64,
-    },
-    "encoder": {
-        "d_embed": 256,
-        "n_heads": 4,
-        "n_positions": 256,
-        "conv_channels": [16, 32, 64],
-        "proj_hidden": 256,
-        "use_positional": True,
-        "use_mhsa": True,
-        "attn_residual": True,
-        "image_identity": False,
-    },
-    "train": {
-        "batch_size": 64,
-        "epochs": 40,
-        "learning_rate": 1e-3,
-        "temperature": 1.0,
-        "learn_temperature": False,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "epsilon": 1e-8,
-    },
-    "inference": {"k": 50},
-    "eval": {"pca_components": 20, "clusters": None},
-}
 
 ABLATION_TOGGLES = ("no_positional_encoding", "no_mhsa", "no_image_path")
 
@@ -102,39 +70,111 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _merge(schema: dict, incoming: dict, path: str = "") -> None:
-    for key, value in incoming.items():
-        where = f"{path}.{key}" if path else key
-        if key not in schema:
-            raise ValidationError(f"unknown config key: {where}")
-        if isinstance(schema[key], dict) and isinstance(value, dict):
-            _merge(schema[key], value, where)
-        else:
-            schema[key] = value
+# The config dataclass behind each section, with the fields that no key sets:
+# the encoder's input fields and hvg_num come from the data, the seed is the
+# top-level key.
+_DATACLASS_SECTIONS = {
+    "data": (GenConfig, ()),
+    "encoder": (EncoderConfig, ("hvg_num", "input_kind", "patch_shape", "input_feat_dim")),
+    "train": (TrainConfig, ("seed",)),
+}
+
+# Keys that no dataclass field holds: {dotted key: (type, default)}.
+_OTHER_KEYS = {
+    "seed": (int, TrainConfig.seed),
+    "data.hvg_num": (int, 64),
+    "inference.k": (int, 50),
+    "eval.pca_components": (int, 20),
+    "eval.clusters": (int | None, None),
+}
 
 
-def _apply_set(config: dict, assignment: str) -> None:
-    if "=" not in assignment:
-        raise ValidationError(f"--set expects section.key=value, got {assignment!r}")
-    dotted, raw = assignment.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    node = config
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ValidationError(f"unknown config key: {dotted}")
-        node = node[part]
-    if parts[-1] not in node:
+class ConfigKey(NamedTuple):
+    """One accepted config key: its type annotation, its default, and the dataclass field it sets, if any."""
+
+    hint: object
+    default: object
+    owner: type | None = None
+    field: str | None = None
+
+
+def _schema() -> dict[str, ConfigKey]:
+    schema = {dotted: ConfigKey(hint, default) for dotted, (hint, default) in _OTHER_KEYS.items()}
+    for section, (cls, derived) in _DATACLASS_SECTIONS.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if f.name not in derived:
+                schema[f"{section}.{f.metadata.get('cli', f.name)}"] = ConfigKey(hints[f.name], f.default, cls, f.name)
+    return schema
+
+
+SCHEMA = _schema()  # {dotted key: ConfigKey}, every key --config and --set accept
+_SECTIONS = {dotted.rpartition(".")[0] for dotted in SCHEMA} - {""}
+
+
+def _type_ok(value, hint) -> bool:
+    """JSON value against a field annotation: bools are only bools, ints are no floats."""
+    if isinstance(hint, types.UnionType):
+        return any(_type_ok(value, h) for h in typing.get_args(hint))
+    if hint is type(None):
+        return value is None
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(value, list):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_type_ok(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_type_ok, value, args))
+    return isinstance(value, hint)
+
+
+def _slot(config: dict, dotted: str) -> tuple[dict, str]:
+    """The section of `config` that holds `dotted`, and the key's name within it."""
+    *sections, name = dotted.split(".")
+    for section in sections:
+        config = config.setdefault(section, {})
+    return config, name
+
+
+def default_config() -> dict:
+    config: dict = {}
+    for dotted, key in SCHEMA.items():
+        node, name = _slot(config, dotted)
+        node[name] = key.default
+    return config
+
+
+def _assign(config: dict, dotted: str, value) -> None:
+    key = SCHEMA.get(dotted)
+    if key is None:
         raise ValidationError(f"unknown config key: {dotted}")
-    node[parts[-1]] = value
+    if not _type_ok(value, key.hint):
+        expected = key.hint.__name__ if isinstance(key.hint, type) else str(key.hint)
+        raise ValidationError(f"config key {dotted} expects {expected}, got {value!r}")
+    node, name = _slot(config, dotted)
+    node[name] = value
+
+
+def _leaves(tree: dict, prefix: str = ""):
+    """(dotted key, value) for every entry of a config file; a dict is descended into only as a section."""
+    for name, value in tree.items():
+        dotted = prefix + name
+        if isinstance(value, dict) and dotted in _SECTIONS:
+            yield from _leaves(value, dotted + ".")
+        else:
+            yield dotted, value
 
 
 def resolve_config(args) -> dict:
-    """defaults < STEXP_SEED < --config file < --set overrides < --seed flag."""
-    config = copy.deepcopy(DEFAULT_CONFIG)
+    """defaults < STEXP_SEED < --config file < --set overrides < --seed flag.
+
+    Every key is checked against SCHEMA, name and type, before any work starts.
+    """
+    config = default_config()
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
@@ -145,64 +185,42 @@ def resolve_config(args) -> dict:
         path = Path(args.config)
         if not path.exists():
             raise ValidationError(f"config file not found: {path}")
-        _merge(config, json.loads(path.read_text()))
+        tree = json.loads(path.read_text())
+        if not isinstance(tree, dict):
+            raise ValidationError(f"config file {path} must hold a JSON object")
+        for dotted, value in _leaves(tree):
+            _assign(config, dotted, value)
     for assignment in getattr(args, "set", None) or []:
-        _apply_set(config, assignment)
+        if "=" not in assignment:
+            raise ValidationError(f"--set expects section.key=value, got {assignment!r}")
+        dotted, raw = assignment.split("=", 1)
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        _assign(config, dotted, value)
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
     return config
 
 
-def gen_config_from(config: dict) -> GenConfig:
-    d = config["data"]
-    return GenConfig(
-        n_slides=d["slides"],
-        spots_per_slide=d["spots_per_slide"],
-        gene_num=d["gene_num"],
-        n_domains=d["domains"],
-        signal=d["signal"],
-        patch_shape=tuple(d["patch"]),
-        coord_max=d["coord_max"],
-        library_size=d["library_size"],
-    )
+def config_object(config: dict, cls, **derived):
+    """The `cls` instance that `config` sets up; `derived` fills the fields no key sets."""
+    values = {}
+    for dotted, key in SCHEMA.items():
+        if key.owner is cls:
+            node, name = _slot(config, dotted)
+            values[key.field] = node[name]
+    return config_from_json(cls, {**values, **derived})
 
 
-def encoder_config_from(config: dict, sample_slide) -> EncoderConfig:
-    e = config["encoder"]
-    kwargs = dict(
-        hvg_num=config["data"]["hvg_num"],
-        d_embed=e["d_embed"],
-        n_heads=e["n_heads"],
-        n_positions=e["n_positions"],
-        conv_channels=tuple(e["conv_channels"]),
-        proj_hidden=e["proj_hidden"],
-        use_positional=e["use_positional"],
-        use_mhsa=e["use_mhsa"],
-        attn_residual=e["attn_residual"],
-        image_identity=e["image_identity"],
-    )
+def _encoder_config(config: dict, sample_slide) -> EncoderConfig:
+    """The encoder keys plus hvg_num and the input fields, which the data decides."""
     if sample_slide.patches is not None:
-        kwargs["input_kind"] = "pixels"
-        kwargs["patch_shape"] = tuple(sample_slide.patches.shape[1:])
+        inputs = {"input_kind": "pixels", "patch_shape": sample_slide.patches.shape[1:]}
     else:
-        kwargs["input_kind"] = "features"
-        kwargs["input_feat_dim"] = sample_slide.features.shape[1]
-    return EncoderConfig(**kwargs)
-
-
-def train_config_from(config: dict) -> TrainConfig:
-    t = config["train"]
-    return TrainConfig(
-        batch_size=t["batch_size"],
-        epochs=t["epochs"],
-        learning_rate=t["learning_rate"],
-        temperature=t["temperature"],
-        learn_temperature=t["learn_temperature"],
-        beta1=t["beta1"],
-        beta2=t["beta2"],
-        epsilon=t["epsilon"],
-        seed=config["seed"],
-    )
+        inputs = {"input_kind": "features", "input_feat_dim": sample_slide.features.shape[1]}
+    return config_object(config, EncoderConfig, hvg_num=config["data"]["hvg_num"], **inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +284,9 @@ def _write_divergence_snapshot(out: str | Path, snapshot: dict) -> Path:
 
 def cmd_gen_data(args) -> int:
     config = resolve_config(args)
+    gen_cfg = config_object(config, GenConfig)
     with atomic_out_dir(args.out) as staging:
-        synth_generate(gen_config_from(config), config["seed"], staging)
+        synth_generate(gen_cfg, config["seed"], staging)
         _write_config_echo(staging, config)
     print(f"wrote dataset to {args.out}")
     return 0
@@ -280,17 +299,16 @@ def _prepare_training(args, config):
     if holdout is not None and holdout not in ids:
         raise ValidationError(f"--holdout {holdout!r} is not a slide of {args.data}")
     train_ids = [i for i in ids if i != holdout]
-    from .data import preprocess
-
+    enc_cfg = _encoder_config(config, slides[0])
     dataset = preprocess(slides, hvg_num=config["data"]["hvg_num"], train_ids=train_ids)
-    enc_cfg = encoder_config_from(config, slides[0])
     return dataset, enc_cfg
 
 
 def cmd_train(args) -> int:
     config = resolve_config(args)
+    train_cfg = config_object(config, TrainConfig, seed=config["seed"])
     dataset, enc_cfg = _prepare_training(args, config)
-    checkpoint = fit(dataset, train_config_from(config), enc_cfg)
+    checkpoint = fit(dataset, train_cfg, enc_cfg)
     with atomic_out_dir(args.out) as staging:
         save_checkpoint(checkpoint, staging)
         curve = ["epoch\tmean_loss"] + [
@@ -385,13 +403,13 @@ def cmd_eval(args) -> int:
 
 
 def _run_loocv(config: dict, data_dir) -> list[ev.MetricsRecord]:
+    train_cfg = config_object(config, TrainConfig, seed=config["seed"])
     slides = load_dataset(data_dir)
-    enc_cfg = encoder_config_from(config, slides[0])
     return ev.loocv(
         slides,
         hvg_num=config["data"]["hvg_num"],
-        train_cfg=train_config_from(config),
-        enc_cfg=enc_cfg,
+        train_cfg=train_cfg,
+        enc_cfg=_encoder_config(config, slides[0]),
         k=config["inference"]["k"],
     )
 

@@ -9,9 +9,11 @@ the N^2 - N off-diagonal entries are the negatives.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,25 +51,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValueError("TrainConfig: batch_size must be >= 2")
+        if self.epochs < 1:
+            raise ValueError("TrainConfig: epochs must be >= 1")
         if self.temperature <= 0:
             raise ValueError("TrainConfig: temperature must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "temperature": self.temperature,
-            "learn_temperature": self.learn_temperature,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        return TrainConfig(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +139,21 @@ def build_loss_graph(
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _tuple_fields(cls) -> frozenset[str]:
+    """Fields of `cls` annotated as a tuple or an optional tuple (resolving annotations is slow)."""
+    return frozenset(
+        name for name, hint in typing.get_type_hints(cls).items()
+        if tuple in {typing.get_origin(h) for h in (hint, *typing.get_args(hint))}
+    )
+
+
+def config_from_json(cls, values: dict):
+    """Rebuild a config dataclass from its JSON form: lists go back to tuples for tuple-typed fields."""
+    tuples = _tuple_fields(cls)
+    return cls(**{name: tuple(v) if name in tuples and isinstance(v, list) else v for name, v in values.items()})
+
+
 @dataclass
 class Checkpoint:
     params: ParamSet
@@ -160,11 +162,11 @@ class Checkpoint:
 
     @property
     def encoder_config(self) -> enc.EncoderConfig:
-        return enc.EncoderConfig.from_dict(self.manifest["encoder"])
+        return config_from_json(enc.EncoderConfig, self.manifest["encoder"])
 
     @property
     def train_config(self) -> TrainConfig:
-        return TrainConfig.from_dict(self.manifest["train"])
+        return config_from_json(TrainConfig, self.manifest["train"])
 
 
 def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
@@ -301,11 +303,11 @@ def fit(dataset: ProcessedDataset, train_cfg: TrainConfig, enc_cfg: enc.EncoderC
         log.info("epoch %d/%d mean loss %.6f", epoch + 1, train_cfg.epochs, mean_loss)
 
     manifest = {
-        "encoder": enc_cfg.to_dict(),
-        "train": train_cfg.to_dict(),
+        "encoder": asdict(enc_cfg),
+        "train": asdict(train_cfg),
         "preprocess": dataset.manifest,
         "seed": train_cfg.seed,
         "epochs_completed": train_cfg.epochs,
-        "final_loss": history[-1] if history else None,
+        "final_loss": history[-1],
     }
     return Checkpoint(params=params, manifest=manifest, history=history)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -316,14 +316,18 @@ def batch_sampler(slide: Slide, batch_size: int, seed: int) -> list[np.ndarray]:
 
 @dataclass
 class GenConfig:
-    """Configuration for the planted-signal synthetic dataset."""
+    """Configuration for the planted-signal synthetic dataset.
 
-    n_slides: int = 4
+    A field whose command-line key differs from its name carries that key
+    as `metadata["cli"]` (the key under the CLI's `data` section).
+    """
+
+    n_slides: int = field(default=4, metadata={"cli": "slides"})
     spots_per_slide: int = 128
     gene_num: int = 96
-    n_domains: int = 4
+    n_domains: int = field(default=4, metadata={"cli": "domains"})
     signal: float = 1.0  # s in [0,1]: 1 = textures fully determined by expression programs
-    patch_shape: tuple[int, int, int] = (3, 32, 32)  # (c, h, w)
+    patch_shape: tuple[int, int, int] = field(default=(3, 32, 32), metadata={"cli": "patch"})  # (c, h, w)
     coord_max: int = 256
     library_size: int = 4000
 
@@ -440,16 +444,7 @@ def synth_generate(config: GenConfig, seed: int, out_dir: str | Path) -> Path:
     manifest = {
         "generator": "stexp.synth",
         "seed": seed,
-        "config": {
-            "n_slides": config.n_slides,
-            "spots_per_slide": config.spots_per_slide,
-            "gene_num": config.gene_num,
-            "n_domains": config.n_domains,
-            "signal": config.signal,
-            "patch_shape": list(config.patch_shape),
-            "coord_max": config.coord_max,
-            "library_size": config.library_size,
-        },
+        "config": asdict(config),
     }
     (out_dir / "gen_manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     return out_dir

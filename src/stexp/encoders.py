@@ -67,32 +67,6 @@ class EncoderConfig:
             return c * h * w
         return int(sum(self.conv_channels))
 
-    def to_dict(self) -> dict:
-        return {
-            "hvg_num": self.hvg_num,
-            "d_embed": self.d_embed,
-            "n_heads": self.n_heads,
-            "n_positions": self.n_positions,
-            "conv_channels": list(self.conv_channels),
-            "proj_hidden": self.proj_hidden,
-            "input_kind": self.input_kind,
-            "patch_shape": list(self.patch_shape) if self.patch_shape else None,
-            "input_feat_dim": self.input_feat_dim,
-            "use_positional": self.use_positional,
-            "use_mhsa": self.use_mhsa,
-            "attn_residual": self.attn_residual,
-            "image_identity": self.image_identity,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "EncoderConfig":
-        d = dict(d)
-        if d.get("conv_channels") is not None:
-            d["conv_channels"] = tuple(d["conv_channels"])
-        if d.get("patch_shape") is not None:
-            d["patch_shape"] = tuple(d["patch_shape"])
-        return EncoderConfig(**d)
-
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape, dtype=np.float32) -> np.ndarray:
     bound = 1.0 / math.sqrt(fan_in)
@@ -205,11 +179,6 @@ def positional_encode(coords: np.ndarray, params: ParamSet, cfg: EncoderConfig) 
     return dc.matmul(px, wx), dc.matmul(py, wy)
 
 
-def positional_lookup(coords: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Direct row lookup; equals the one-hot product elementwise."""
-    return table[np.asarray(coords, dtype=np.int64)]
-
-
 def mhsa(x: Tensor, params: ParamSet, cfg: EncoderConfig) -> Tensor:
     """Multi-head self-attention with Q = K = V = x, concat heads, output map."""
     inv_sqrt_dk = 1.0 / math.sqrt(cfg.d_k)
@@ -221,18 +190,6 @@ def mhsa(x: Tensor, params: ParamSet, cfg: EncoderConfig) -> Tensor:
         scores = dc.scale(dc.matmul(q, dc.transpose(k)), inv_sqrt_dk)
         heads.append(dc.matmul(dc.row_softmax(scores), v))
     return dc.matmul(dc.concat(heads, axis=1), params["attn.w0"])
-
-
-def attention_maps(x: np.ndarray, params: ParamSet, cfg: EncoderConfig) -> list[np.ndarray]:
-    """Per-head attention matrices (softmax rows) for inspection/tests."""
-    maps = []
-    xt = dc.constant(x)
-    for i in range(cfg.n_heads):
-        q = dc.matmul(xt, params[f"attn.h{i}.wq"])
-        k = dc.matmul(xt, params[f"attn.h{i}.wk"])
-        scores = dc.scale(dc.matmul(q, dc.transpose(k)), 1.0 / math.sqrt(cfg.d_k))
-        maps.append(dc.row_softmax(scores).data)
-    return maps
 
 
 def encode_spots(expression: Tensor, coords: np.ndarray, params: ParamSet, cfg: EncoderConfig) -> Tensor:

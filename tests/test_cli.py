@@ -1,12 +1,19 @@
 """CLI behavior: reproducibility, exit codes, atomic outputs, ablation tables."""
 
+import dataclasses
 import json
+import re
 import warnings
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
 
+from stexp import cli
 from stexp.cli import main
+from stexp.contrastive import TrainConfig
+from stexp.data import GenConfig
+from stexp.encoders import EncoderConfig
 
 
 def micro_config(tmp_path: Path) -> Path:
@@ -247,3 +254,165 @@ class TestDivergence:
         assert {"epoch", "step", "slide_id", "loss", "param_norms"} <= set(snapshot)
         assert snapshot["loss"] in ("nan", "inf", "-inf")
         assert not out.exists()
+
+
+class TestTypedKeys:
+    @pytest.mark.parametrize("command, assignment, key", [
+        ("train", 'encoder.use_mhsa="no"', "encoder.use_mhsa"),
+        ("train", "train.epochs=abc", "train.epochs"),
+        ("train", 'train.learning_rate="0.01"', "train.learning_rate"),
+        ("gen-data", "data.patch=[3,8]", "data.patch"),
+    ])
+    def test_wrong_type_rejected_before_any_work(self, pipeline, tmp_path, monkeypatch, capsys,
+                                                 command, assignment, key):
+        root, cfg = pipeline
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("data loaded before the check"))
+        monkeypatch.setattr(cli, "synth_generate", lambda *a: pytest.fail("generated before the check"))
+        extra = ["--data", str(root / "data")] if command == "train" else []
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--set", assignment, *extra, "--out", str(out)]) == 1
+        assert f"config key {key} expects" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("assignment", [
+        "train.learning_rate=1", "train.learning_rate=0.5", "eval.clusters=null", "eval.clusters=3",
+        "encoder.conv_channels=[]", "encoder.conv_channels=[4,8,16,32]", "data.patch=[1,4,4]",
+        "encoder.use_mhsa=false", "seed=12",
+    ])
+    def test_well_typed_values_accepted(self, assignment):
+        cli.resolve_config(Namespace(config=None, set=[assignment], seed=None))
+
+    @pytest.mark.parametrize("assignment", [
+        "train.epochs=true", "train.epochs=3.0", "seed=1.5", "eval.clusters=true", "eval.clusters=[3]",
+        "encoder.use_mhsa=1", "encoder.conv_channels=6", "encoder.conv_channels=[4,8.5]",
+        "encoder.conv_channels=[true]", "data.patch=[3,8,8,8]", "data.signal=true", "data.signal=[1]",
+    ])
+    def test_ill_typed_values_rejected(self, assignment):
+        with pytest.raises(cli.ValidationError, match="expects"):
+            cli.resolve_config(Namespace(config=None, set=[assignment], seed=None))
+
+    def test_config_file_values_are_checked(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"train": {"batch_size": "64"}}))
+        with pytest.raises(cli.ValidationError, match="train.batch_size"):
+            cli.resolve_config(Namespace(config=str(path), set=None, seed=None))
+
+    def test_zero_epochs_rejected_and_no_output(self, pipeline, tmp_path):
+        root, cfg = pipeline
+        out = tmp_path / "ck"
+        rc = main(["train", "--config", str(cfg), "--set", "train.epochs=0",
+                   "--data", str(root / "data"), "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert not list(tmp_path.glob(".tmp-*"))
+
+
+# Every key --set/--config accepts, each with a valid value that differs from its default.
+CHANGED_VALUES = {
+    "seed": 3,
+    "data.slides": 2, "data.spots_per_slide": 24, "data.gene_num": 24, "data.domains": 3,
+    "data.signal": 0.5, "data.patch": [3, 8, 8], "data.coord_max": 64, "data.library_size": 1000,
+    "data.hvg_num": 8,
+    "encoder.d_embed": 16, "encoder.n_heads": 2, "encoder.n_positions": 128,
+    "encoder.conv_channels": [6], "encoder.proj_hidden": 16, "encoder.use_positional": False,
+    "encoder.use_mhsa": False, "encoder.attn_residual": False, "encoder.image_identity": True,
+    "train.batch_size": 8, "train.epochs": 3, "train.learning_rate": 2e-3, "train.temperature": 0.1,
+    "train.learn_temperature": True, "train.beta1": 0.8, "train.beta2": 0.99, "train.epsilon": 1e-6,
+    "inference.k": 5,
+    "eval.pca_components": 10, "eval.clusters": 7,
+}
+
+
+class _Reached(Exception):
+    """Raised by a stubbed consumer once it has recorded what it was given."""
+
+
+class TestSchema:
+    def test_accepted_keys(self):
+        assert set(cli.SCHEMA) == set(CHANGED_VALUES)
+
+    def test_every_field_has_exactly_one_key(self):
+        derived = {(EncoderConfig, n) for n in ("hvg_num", "input_kind", "patch_shape", "input_feat_dim")}
+        derived.add((TrainConfig, "seed"))
+        owned = [(key.owner, key.field) for key in cli.SCHEMA.values() if key.owner is not None]
+        for cls in (GenConfig, EncoderConfig, TrainConfig):
+            for f in dataclasses.fields(cls):
+                want = 0 if (cls, f.name) in derived else 1
+                assert owned.count((cls, f.name)) == want, f"{cls.__name__}.{f.name}"
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        config = cli.default_config()
+        assert cli.config_object(config, GenConfig) == GenConfig()
+        assert cli.config_object(config, TrainConfig, seed=config["seed"]) == TrainConfig()
+        enc = cli.config_object(config, EncoderConfig, hvg_num=64, patch_shape=(3, 32, 32))
+        assert enc == EncoderConfig(hvg_num=64, patch_shape=(3, 32, 32))
+
+    @pytest.mark.parametrize("dotted", sorted(CHANGED_VALUES))
+    def test_set_reaches_its_consumer(self, pipeline, tmp_path, monkeypatch, dotted):
+        root, _ = pipeline
+        received = {}
+
+        def stub(name):
+            def record(*args, **kwargs):
+                received[name] = (args, kwargs)
+                raise _Reached
+            return record
+
+        monkeypatch.setattr(cli, "synth_generate", stub("synth_generate"))
+        monkeypatch.setattr(cli.ev, "loocv", stub("loocv"))
+        monkeypatch.setattr(cli.ev, "detect_domains", stub("detect_domains"))
+        commands = {
+            "gen-data": ["gen-data"],
+            "loocv": ["loocv", "--data", str(root / "data")],
+            "eval": ["eval", "--pred", str(root / "pred"), "--slide", str(root / "data" / "slide_001"),
+                     "--checkpoint", str(root / "ck")],
+        }
+
+        def consumed(command, *extra):
+            """What the consumers of `command` receive, as {name: value}."""
+            received.clear()
+            assert main([*commands[command], *extra, "--out", str(tmp_path / "out")]) == 2
+            if command == "gen-data":
+                (gen, seed, _), _ = received["synth_generate"]
+                return {**{f"GenConfig.{k}": v for k, v in dataclasses.asdict(gen).items()}, "seed": seed}
+            if command == "loocv":
+                _, kw = received["loocv"]
+                return {**{f"EncoderConfig.{k}": v for k, v in dataclasses.asdict(kw["enc_cfg"]).items()},
+                        **{f"TrainConfig.{k}": v for k, v in dataclasses.asdict(kw["train_cfg"]).items()},
+                        "hvg_num": kw["hvg_num"], "k": kw["k"]}
+            (_, clusters, pca_components, seed), _ = received["detect_domains"]
+            return {"clusters": clusters, "pca_components": pca_components, "seed": seed}
+
+        key = cli.SCHEMA[dotted]
+        value = CHANGED_VALUES[dotted]
+        expected = {
+            GenConfig: {"gen-data": {f"GenConfig.{key.field}"}},
+            EncoderConfig: {"loocv": {f"EncoderConfig.{key.field}"}},
+            TrainConfig: {"loocv": {f"TrainConfig.{key.field}"}},
+            None: {
+                "seed": {"gen-data": {"seed"}, "loocv": {"TrainConfig.seed"}, "eval": {"seed"}},
+                "data.hvg_num": {"loocv": {"hvg_num", "EncoderConfig.hvg_num"}},
+                "inference.k": {"loocv": {"k"}},
+                "eval.pca_components": {"eval": {"pca_components"}},
+                "eval.clusters": {"eval": {"clusters"}},
+            }.get(dotted),
+        }[key.owner]
+        for command, names in expected.items():
+            before = consumed(command)
+            after = consumed(command, "--set", f"{dotted}={json.dumps(value)}")
+            changed = {name for name in before if before[name] != after[name]}
+            assert changed == names, f"{dotted} via {command}"
+            for name in names:
+                assert after[name] == (tuple(value) if isinstance(value, list) else value)
+
+
+def test_readme_config_example_resolves(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert blocks, "README.md has no JSON config example"
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme_{i}.json"
+        path.write_text(block)
+        config = cli.resolve_config(Namespace(config=str(path), set=None, seed=None))
+        cli.config_object(config, GenConfig)
+        cli.config_object(config, TrainConfig, seed=config["seed"])

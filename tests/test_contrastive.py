@@ -1,6 +1,8 @@
 """Loss arithmetic, training determinism, and checkpoint round-trips."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -217,8 +219,6 @@ class TestCheckpointRoundTrip:
         np.testing.assert_array_equal(p1, p2)
 
     def test_manifest_offsets_validated(self, tiny_processed, tmp_path):
-        import json
-
         tcfg = TrainConfig(batch_size=16, epochs=1, temperature=0.05, seed=9)
         ckpt = fit(tiny_processed, tcfg, TINY_ENC)
         save_checkpoint(ckpt, tmp_path / "ck")
@@ -233,3 +233,31 @@ class TestCheckpointRoundTrip:
         ckpt = fit(tiny_processed, tcfg, TINY_ENC)
         save_checkpoint(ckpt, tmp_path / "ck")
         assert load_checkpoint(tmp_path / "ck").history == ckpt.history
+
+    def test_configs_survive_round_trip(self, tiny_processed, tmp_path):
+        tcfg = TrainConfig(batch_size=8, epochs=1, learning_rate=5e-3, temperature=0.2,
+                           learn_temperature=True, beta1=0.8, beta2=0.99, epsilon=1e-6, seed=4)
+        save_checkpoint(fit(tiny_processed, tcfg, TINY_ENC), tmp_path / "ck")
+        back = load_checkpoint(tmp_path / "ck")
+        assert back.encoder_config == TINY_ENC  # tuple fields come back as tuples
+        assert back.train_config == tcfg
+
+    def test_earlier_manifest_still_loads(self):
+        # the "encoder" and "train" sections exactly as an earlier release wrote them
+        # (stexp train on the tests/test_cli.py micro config, --seed 7)
+        written = json.loads(
+            '{"encoder": {"attn_residual": true, "conv_channels": [6], "d_embed": 16, "hvg_num": 8,'
+            ' "image_identity": false, "input_feat_dim": null, "input_kind": "pixels", "n_heads": 2,'
+            ' "n_positions": 256, "patch_shape": [3, 8, 8], "proj_hidden": 16, "use_mhsa": true,'
+            ' "use_positional": true}, "train": {"batch_size": 8, "beta1": 0.9, "beta2": 0.999,'
+            ' "epochs": 3, "epsilon": 1e-08, "learn_temperature": false, "learning_rate": 0.002,'
+            ' "seed": 7, "temperature": 0.1}}'
+        )
+        enc_cfg = EncoderConfig(hvg_num=8, d_embed=16, n_heads=2, conv_channels=(6,),
+                                proj_hidden=16, patch_shape=(3, 8, 8))
+        tcfg = TrainConfig(batch_size=8, epochs=3, learning_rate=2e-3, temperature=0.1, seed=7)
+        ckpt = Checkpoint(params=dc.ParamSet(), manifest=written)
+        assert ckpt.encoder_config == enc_cfg
+        assert ckpt.train_config == tcfg
+        # and the manifest written today has the same sections, key for key
+        assert json.loads(json.dumps({"encoder": asdict(enc_cfg), "train": asdict(tcfg)})) == written
