@@ -1,10 +1,10 @@
 """Contrastive patch/spot joint embedding for spatial gene-expression prediction."""
 
-from .contrastive import Checkpoint, TrainConfig, clip_loss, fit, similarity
+from .contrastive import Checkpoint, TrainConfig, fit
 from .data import GenConfig, ProcessedDataset, Slide, load_dataset, load_slide, preprocess, synth_generate
 from .encoders import EncoderConfig
 from .evaluation import MetricsRecord, ari, compute_metrics, kmeans, loocv, pca
-from .inference import RetrievalIndex, aggregate, build_index, predict_slide, query_topk
+from .inference import RetrievalIndex, build_index, predict_slide
 
 __version__ = "0.1.0"
 
@@ -17,10 +17,8 @@ __all__ = [
     "RetrievalIndex",
     "Slide",
     "TrainConfig",
-    "aggregate",
     "ari",
     "build_index",
-    "clip_loss",
     "compute_metrics",
     "fit",
     "kmeans",
@@ -30,7 +28,5 @@ __all__ = [
     "pca",
     "predict_slide",
     "preprocess",
-    "query_topk",
-    "similarity",
     "synth_generate",
 ]

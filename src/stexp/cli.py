@@ -53,7 +53,12 @@ log = logging.getLogger(__name__)
 
 SEED_ENV_VAR = "STEXP_SEED"
 
-ABLATION_TOGGLES = ("no_positional_encoding", "no_mhsa", "no_image_path")
+# {ablation toggle: (the encoder key it sets, the value it sets)}
+ABLATION_TOGGLES = {
+    "no_positional_encoding": ("use_positional", False),
+    "no_mhsa": ("use_mhsa", False),
+    "no_image_path": ("image_identity", True),
+}
 
 
 class ValidationError(ValueError):
@@ -214,13 +219,19 @@ def config_object(config: dict, cls, **derived):
     return config_from_json(cls, {**values, **derived})
 
 
-def _encoder_config(config: dict, sample_slide) -> EncoderConfig:
-    """The encoder keys plus hvg_num and the input fields, which the data decides."""
-    if sample_slide.patches is not None:
-        inputs = {"input_kind": "pixels", "patch_shape": sample_slide.patches.shape[1:]}
+def _encoder_config(config: dict, slides) -> EncoderConfig:
+    """The encoder keys plus hvg_num and the input fields, which the data decides; checked against its coordinates."""
+    sample = slides[0]
+    if sample.patches is not None:
+        inputs = {"input_kind": "pixels", "patch_shape": sample.patches.shape[1:]}
     else:
-        inputs = {"input_kind": "features", "input_feat_dim": sample_slide.features.shape[1]}
-    return config_object(config, EncoderConfig, hvg_num=config["data"]["hvg_num"], **inputs)
+        inputs = {"input_kind": "features", "input_feat_dim": sample.features.shape[1]}
+    enc_cfg = config_object(config, EncoderConfig, hvg_num=config["data"]["hvg_num"], **inputs)
+    coord_max = max(int(s.coords.max()) for s in slides)
+    if enc_cfg.use_positional and enc_cfg.n_positions <= coord_max:
+        raise ValidationError(f"config key encoder.n_positions={enc_cfg.n_positions} must exceed "
+                              f"the largest slide coordinate, {coord_max}")
+    return enc_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +310,7 @@ def _prepare_training(args, config):
     if holdout is not None and holdout not in ids:
         raise ValidationError(f"--holdout {holdout!r} is not a slide of {args.data}")
     train_ids = [i for i in ids if i != holdout]
-    enc_cfg = _encoder_config(config, slides[0])
+    enc_cfg = _encoder_config(config, slides)
     dataset = preprocess(slides, hvg_num=config["data"]["hvg_num"], train_ids=train_ids)
     return dataset, enc_cfg
 
@@ -402,21 +413,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _run_loocv(config: dict, data_dir) -> list[ev.MetricsRecord]:
-    train_cfg = config_object(config, TrainConfig, seed=config["seed"])
-    slides = load_dataset(data_dir)
+def _run_loocv(config: dict, train_cfg: TrainConfig, slides) -> list[ev.MetricsRecord]:
     return ev.loocv(
         slides,
         hvg_num=config["data"]["hvg_num"],
         train_cfg=train_cfg,
-        enc_cfg=_encoder_config(config, slides[0]),
+        enc_cfg=_encoder_config(config, slides),
         k=config["inference"]["k"],
     )
 
 
 def cmd_loocv(args) -> int:
     config = resolve_config(args)
-    records = _run_loocv(config, args.data)
+    train_cfg = config_object(config, TrainConfig, seed=config["seed"])
+    records = _run_loocv(config, train_cfg, load_dataset(args.data))
     with atomic_out_dir(args.out) as staging:
         ev.write_metrics_tsv(records, staging / "metrics.tsv")
         for record in records[:-1]:
@@ -430,14 +440,9 @@ def cmd_loocv(args) -> int:
 
 def _variant_config(config: dict, toggle: str | None = None, k: int | None = None) -> dict:
     variant = copy.deepcopy(config)
-    if toggle == "no_positional_encoding":
-        variant["encoder"]["use_positional"] = False
-    elif toggle == "no_mhsa":
-        variant["encoder"]["use_mhsa"] = False
-    elif toggle == "no_image_path":
-        variant["encoder"]["image_identity"] = True
-    elif toggle is not None:
-        raise ValidationError(f"unknown ablation toggle {toggle!r} (choose from {ABLATION_TOGGLES})")
+    if toggle is not None:
+        key, value = ABLATION_TOGGLES[toggle]
+        variant["encoder"][key] = value
     if k is not None:
         variant["inference"]["k"] = k
     return variant
@@ -451,7 +456,11 @@ def cmd_ablate(args) -> int:
         raise ValidationError("ablate: empty toggle set (pass --toggles and/or --k-sweep)")
     for toggle in toggles:
         if toggle not in ABLATION_TOGGLES:
-            raise ValidationError(f"unknown ablation toggle {toggle!r} (choose from {ABLATION_TOGGLES})")
+            raise ValidationError(f"unknown ablation toggle {toggle!r} (choose from {tuple(ABLATION_TOGGLES)})")
+    train_cfg = config_object(config, TrainConfig, seed=config["seed"])
+    slides = load_dataset(args.data)
+    for k in k_values:  # before the full variant trains
+        ev.check_loocv_k(slides, k)
 
     variants: list[tuple[str, dict]] = [("full", config)]
     variants += [(toggle, _variant_config(config, toggle=toggle)) for toggle in toggles]
@@ -460,7 +469,7 @@ def cmd_ablate(args) -> int:
     rows = []
     for name, variant in variants:
         log.info("ablation variant %s", name)
-        mean = _run_loocv(variant, args.data)[-1]
+        mean = _run_loocv(variant, train_cfg, slides)[-1]
         rows.append((name, mean))
     with atomic_out_dir(args.out) as staging:
         lines = ["variant\tpcc_acg\tpcc_heg\tmse\tmae"]
@@ -490,7 +499,6 @@ def _primitive_check_graphs(rng):
         "a": rng.standard_normal((2, 5)), "s": np.array(0.3)}
     yield "row_softmax", lambda p, i: dc.mean(dc.matmul(dc.row_softmax(p["x"]), p["r"])), {
         "x": rng.standard_normal((4, 6)), "r": rng.standard_normal((6, 3))}
-    yield "log", lambda p, i: dc.mean(dc.log(p["x"])), {"x": rng.uniform(0.5, 2.0, (3, 3))}
     yield "exp", lambda p, i: dc.mean(dc.exp(p["x"])), {"x": rng.standard_normal((3, 3))}
     yield "l2_normalize_rows", lambda p, i: dc.mean(dc.matmul(dc.l2_normalize_rows(p["x"]), p["r"])), {
         "x": rng.standard_normal((4, 5)) + 0.5, "r": rng.standard_normal((5, 2))}
@@ -611,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="run ablation variants side by side")
     common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--toggles", help=f"comma-separated subset of {ABLATION_TOGGLES}")
+    p.add_argument("--toggles", help=f"comma-separated subset of {tuple(ABLATION_TOGGLES)}")
     p.add_argument("--k-sweep", dest="k_sweep", help="comma-separated k values")
     p.set_defaults(func=cmd_ablate)
 

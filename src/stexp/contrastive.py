@@ -53,8 +53,16 @@ class TrainConfig:
             raise ValueError("TrainConfig: batch_size must be >= 2")
         if self.epochs < 1:
             raise ValueError("TrainConfig: epochs must be >= 1")
-        if self.temperature <= 0:
+        # written as `not (...)` so that a NaN, which compares False, is rejected too
+        if not (self.temperature > 0):
             raise ValueError("TrainConfig: temperature must be positive")
+        if not (self.learning_rate > 0):
+            raise ValueError(f"TrainConfig: learning_rate must be positive, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not (0 <= getattr(self, name) < 1):
+                raise ValueError(f"TrainConfig: {name} must be in [0, 1), got {getattr(self, name)}")
+        if not (self.epsilon > 0):
+            raise ValueError(f"TrainConfig: epsilon must be positive, got {self.epsilon}")
 
 
 # ---------------------------------------------------------------------------
@@ -68,16 +76,6 @@ def _check_unit_rows(h: np.ndarray, name: str) -> None:
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # a NaN norm fails too
     if bad.size:
         raise ValueError(f"{name}: row {int(bad[0])} has norm {norms[bad[0]]:.6f}, expected 1 +/- {UNIT_NORM_TOL}")
-
-
-def similarity(h_a: np.ndarray, h_b: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity of pre-normalized rows (a plain dot product)."""
-    h_a, h_b = np.asarray(h_a), np.asarray(h_b)
-    if h_a.ndim != 2 or h_b.ndim != 2 or h_a.shape[1] != h_b.shape[1]:
-        raise ValueError(f"similarity: incompatible shapes {h_a.shape} and {h_b.shape}")
-    _check_unit_rows(h_a, "similarity: first argument")
-    _check_unit_rows(h_b, "similarity: second argument")
-    return h_a @ h_b.T
 
 
 def _symmetric_ce(sim: Tensor, inv_tau) -> Tensor:
@@ -101,16 +99,6 @@ def loss_from_similarity(sim: np.ndarray, tau: float) -> float:
         raise ValueError("loss_from_similarity: temperature must be positive")
     node = _symmetric_ce(dc.constant(sim), 1.0 / tau)
     return float(node.data.reshape(()))
-
-
-def clip_loss(h_patch: np.ndarray, h_spot: np.ndarray, tau: float = 1.0) -> float:
-    """Symmetric contrastive loss for matched patch/spot embedding rows."""
-    h_patch, h_spot = np.asarray(h_patch), np.asarray(h_spot)
-    if h_patch.shape != h_spot.shape:
-        raise ValueError(f"clip_loss: shape mismatch {h_patch.shape} vs {h_spot.shape}")
-    if h_patch.shape[0] < 2:
-        raise ValueError("clip_loss: need at least 2 pairs")
-    return loss_from_similarity(h_patch @ h_spot.T, tau)
 
 
 def _inv_tau_term(params: ParamSet, cfg: TrainConfig):
@@ -184,7 +172,7 @@ def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
                 "shape": list(arr.shape),
                 "offset": offset,
                 "nbytes": arr.nbytes,
-                "frozen": ckpt.params.is_frozen(name),
+                "frozen": False,  # kept so the manifest format does not change; load_checkpoint ignores it
             }
         )
         chunks.append(arr.tobytes())
@@ -211,7 +199,7 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
         arr = np.frombuffer(
             blob, dtype=layout["dtype"], count=int(np.prod(entry["shape"])), offset=entry["offset"]
         ).reshape(entry["shape"]).copy()
-        params.add(entry["name"], arr, frozen=entry["frozen"])
+        params.add(entry["name"], arr)
         expected_offset += entry["nbytes"]
     if expected_offset != layout["total_bytes"]:
         raise ValueError("checkpoint manifest offsets do not tile the blob exactly")
@@ -258,8 +246,8 @@ def fit(dataset: ProcessedDataset, train_cfg: TrainConfig, enc_cfg: enc.EncoderC
         learn_temperature=train_cfg.learn_temperature,
         init_log_tau=float(np.log(train_cfg.temperature)),
     )
-    moments1 = {n: np.zeros_like(params[n].data) for n in params.trainable_names()}
-    moments2 = {n: np.zeros_like(params[n].data) for n in params.trainable_names()}
+    moments1 = {n: np.zeros_like(t.data) for n, t in params.items()}
+    moments2 = {n: np.zeros_like(t.data) for n, t in params.items()}
     step = 0
     history: list[float] = []
 

@@ -2,9 +2,8 @@
 
 The graph is built dynamically from a fixed, minimal primitive set:
 
-    matmul, add, scale, row_softmax, log, exp, l2_normalize_rows,
-    transpose, concat, conv2d, relu, gelu, mean,
-    cross_entropy_with_index_targets
+    matmul, add, scale, row_softmax, exp, l2_normalize_rows, transpose,
+    concat, conv2d, relu, gelu, mean, cross_entropy_with_index_targets
 
 Everything else in the model is composed from these. Each primitive knows
 its own exact reverse-mode rule, and ``grad_check`` verifies any graph
@@ -33,7 +32,6 @@ __all__ = [
     "add",
     "scale",
     "row_softmax",
-    "log",
     "exp",
     "l2_normalize_rows",
     "transpose",
@@ -179,17 +177,6 @@ def row_softmax(x: Tensor) -> Tensor:
         return (y * (g - dot),)
 
     return _result(y, (x,), grad_fn, "row_softmax")
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0):
-        raise GraphError("log: input has non-positive entries")
-    xd = x.data
-
-    def grad_fn(g):
-        return (g / xd,)
-
-    return _result(np.log(xd), (x,), grad_fn, "log")
 
 
 def exp(x: Tensor) -> Tensor:
@@ -443,15 +430,12 @@ class ParamSet:
 
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
-        self._frozen: set[str] = set()
 
-    def add(self, name: str, data: np.ndarray, *, frozen: bool = False) -> Tensor:
+    def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise GraphError(f"ParamSet: duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(data), requires_grad=not frozen, op=f"param:{name}")
+        t = Tensor(np.asarray(data), requires_grad=True, op=f"param:{name}")
         self._params[name] = t
-        if frozen:
-            self._frozen.add(name)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -460,9 +444,6 @@ class ParamSet:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return sorted(self._params)
 
@@ -470,26 +451,11 @@ class ParamSet:
         for name in self.names():
             yield name, self._params[name]
 
-    def is_frozen(self, name: str) -> bool:
-        return name in self._frozen
-
-    def trainable_names(self) -> list[str]:
-        return [n for n in self.names() if n not in self._frozen]
-
     def astype(self, dtype) -> "ParamSet":
         clone = ParamSet()
         for name, t in self.items():
-            clone.add(name, t.data.astype(dtype), frozen=self.is_frozen(name))
+            clone.add(name, t.data.astype(dtype))
         return clone
-
-    def copy(self) -> "ParamSet":
-        clone = ParamSet()
-        for name, t in self.items():
-            clone.add(name, t.data.copy(), frozen=self.is_frozen(name))
-        return clone
-
-    def total_size(self) -> int:
-        return sum(t.size for _, t in self.items())
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +468,11 @@ def evaluate_with_gradients(
     params: ParamSet,
     inputs: Iterable = (),
 ) -> tuple[Tensor, dict[str, np.ndarray]]:
-    """Run ``graph(params, inputs)`` forward, then reverse-mode to every non-frozen parameter.
+    """Run ``graph(params, inputs)`` forward, then reverse-mode to every parameter.
 
-    The graph must return a scalar. Raises if a non-frozen parameter is
-    unreachable from the output (either dead weight or a miswired graph).
+    The graph must return a scalar. Every op on a parameter records its
+    reverse rule, so a parameter that gets no gradient is unreachable from
+    the output (either dead weight or a miswired graph), and this raises.
     """
     input_nodes = [_as_tensor(x) for x in inputs]
     value = graph(params, input_nodes)
@@ -514,17 +481,11 @@ def evaluate_with_gradients(
     if value.size != 1:
         raise GraphError(f"evaluate_with_gradients: loss must be scalar, got shape {value.shape}")
 
-    reachable = {id(n) for n in _topo_order(value)}
-    missing = [name for name in params.trainable_names() if id(params[name]) not in reachable]
+    grads = backward(value)
+    out = {name: grads[id(node)] for name, node in params.items() if id(node) in grads}
+    missing = [name for name in params.names() if name not in out]
     if missing:
         raise GraphError(f"evaluate_with_gradients: parameters not used by graph: {missing}")
-
-    grads = backward(value)
-    out: dict[str, np.ndarray] = {}
-    for name in params.trainable_names():
-        node = params[name]
-        g = grads.get(id(node))
-        out[name] = g if g is not None else np.zeros_like(node.data)
     return value, out
 
 
@@ -591,7 +552,7 @@ def grad_check(
         return float(graph(params64, nodes).data.reshape(()))
 
     report = GradCheckReport(eps=eps, tol=tol)
-    for name in params64.trainable_names():
+    for name in params64.names():
         data = params64[name].data
         grad = analytic[name]
         flat = data.reshape(-1)

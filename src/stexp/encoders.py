@@ -47,6 +47,9 @@ class EncoderConfig:
         if self.input_kind == "pixels":
             if self.patch_shape is None:
                 raise ValueError("EncoderConfig: pixels input requires patch_shape")
+            if not self.image_identity and not (self.conv_channels and min(self.conv_channels) >= 1):
+                raise ValueError(f"EncoderConfig: conv_channels={list(self.conv_channels)} needs at least "
+                                 "one layer, each of at least 1 channel")
         elif self.input_kind == "features":
             if self.input_feat_dim is None:
                 raise ValueError("EncoderConfig: features input requires input_feat_dim")

@@ -59,19 +59,6 @@ def _pearson_columns(pred: np.ndarray, obs: np.ndarray) -> tuple[np.ndarray, np.
     return r, flagged
 
 
-def gene_pvalues(pred_column: np.ndarray, obs_column: np.ndarray) -> float:
-    """-log10 two-sided p for the correlation of one gene across spots."""
-    pred_column = np.asarray(pred_column, dtype=np.float64)
-    obs_column = np.asarray(obs_column, dtype=np.float64)
-    s = pred_column.shape[0]
-    if s < 3:
-        raise ValueError(f"gene_pvalues: need at least 3 spots, got {s}")
-    r, flagged = _pearson_columns(pred_column[:, None], obs_column[:, None])
-    if flagged[0]:
-        return 0.0
-    return _neg_log10_p(float(r[0]), s)
-
-
 def _neg_log10_p(r: float, s: int) -> float:
     df = s - 2
     if abs(r) >= 1.0 - 1e-15:
@@ -166,6 +153,13 @@ def run_fold(
     return record, checkpoint
 
 
+def check_loocv_k(slides: list[Slide], k: int) -> None:
+    """Reject a k outside [1, the smallest fold's training spot count] before any fold trains."""
+    train_spots = sum(s.spot_num for s in slides) - max(s.spot_num for s in slides)
+    if not 1 <= k <= train_spots:
+        raise ValueError(f"loocv: k={k} outside [1, {train_spots}], the smallest fold's training spot count")
+
+
 def loocv(
     slides: list[Slide],
     hvg_num: int,
@@ -176,6 +170,7 @@ def loocv(
     """One fold per slide plus a final mean row (per-fold seeds derived from the config seed)."""
     if len(slides) < 2:
         raise ValueError("loocv: need at least 2 slides")
+    check_loocv_k(slides, k)
     records = []
     for fold, slide in enumerate(slides):
         seed = fold_seed(train_cfg.seed, fold)

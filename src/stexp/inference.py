@@ -49,31 +49,28 @@ class RetrievalIndex:
         return self.embeddings.shape[0]
 
 
-def _sequential_batches(n: int, batch_size: int) -> list[np.ndarray]:
-    # index-order partition, remainder kept: every spot gets encoded
-    return [np.arange(i, min(i + batch_size, n)) for i in range(0, n, batch_size)]
+def _embed_batches(spot_num: int, checkpoint: Checkpoint, embed) -> np.ndarray:
+    """embed(rows) for index-order slices of the training batch size, remainder kept: every spot gets encoded."""
+    batch_size = checkpoint.train_config.batch_size
+    out = np.empty((spot_num, checkpoint.encoder_config.d_embed), dtype=np.float32)
+    for lo in range(0, spot_num, batch_size):
+        rows = slice(lo, lo + batch_size)
+        out[rows] = embed(rows)
+    return out
 
 
 def encode_slide_spots(slide: Slide, checkpoint: Checkpoint) -> np.ndarray:
-    """Embed every spot of a slide, batched the way training batches were sized."""
+    """Embed every spot's expression and coordinates, batched the way training batches were sized."""
     cfg = checkpoint.encoder_config
-    batch_size = checkpoint.train_config.batch_size
-    out = np.empty((slide.spot_num, cfg.d_embed), dtype=np.float32)
-    for batch in _sequential_batches(slide.spot_num, batch_size):
-        out[batch] = enc.embed_spots(
-            slide.expression[batch], slide.coords[batch], checkpoint.params, cfg
-        )
-    return out
+    return _embed_batches(slide.spot_num, checkpoint, lambda rows: enc.embed_spots(
+        slide.expression[rows], slide.coords[rows], checkpoint.params, cfg))
 
 
 def encode_slide_patches(slide: Slide, checkpoint: Checkpoint) -> np.ndarray:
+    """Embed every spot's patch (or precomputed features), batched the way training batches were sized."""
     cfg = checkpoint.encoder_config
-    batch_size = checkpoint.train_config.batch_size
     raw = slide.patches if slide.patches is not None else slide.features
-    out = np.empty((slide.spot_num, cfg.d_embed), dtype=np.float32)
-    for batch in _sequential_batches(slide.spot_num, batch_size):
-        out[batch] = enc.embed_patches(raw[batch], checkpoint.params, cfg)
-    return out
+    return _embed_batches(slide.spot_num, checkpoint, lambda rows: enc.embed_patches(raw[rows], checkpoint.params, cfg))
 
 
 def build_index(checkpoint: Checkpoint, training_slides: list[Slide]) -> RetrievalIndex:
@@ -169,6 +166,8 @@ def aggregate_rows(index: RetrievalIndex, rows: np.ndarray, dists: np.ndarray) -
     float64. A query with a neighbor within NEAR_ZERO_DISTANCE gets the first
     ranked such neighbor's expression verbatim (the d -> 0 limit).
     """
+    if rows.shape[1] == 0:
+        raise ValueError("aggregate_rows: empty neighbor list")
     dists = np.asarray(dists, dtype=np.float64)
     near = dists < NEAR_ZERO_DISTANCE
     inv = np.where(near, 1.0, dists) ** -2.0  # queries with a near neighbor are overwritten below
@@ -179,21 +178,6 @@ def aggregate_rows(index: RetrievalIndex, rows: np.ndarray, dists: np.ndarray) -
     hit = np.flatnonzero(near.any(axis=1))
     pred[hit] = index.expressions[rows[hit, near[hit].argmax(axis=1)]]
     return pred
-
-
-def query_topk(index: RetrievalIndex, h_query: np.ndarray, k: int) -> list[tuple[int, float, float]]:
-    """search for one query, as ranked (row, cosine, distance) triples."""
-    rows, cosines, dists = search(index, np.asarray(h_query).reshape(1, -1), k)
-    return [(int(r), float(c), float(d)) for r, c, d in zip(rows[0], cosines[0], dists[0])]
-
-
-def aggregate(neighbors: list[tuple[int, float, float]], index: RetrievalIndex) -> np.ndarray:
-    """aggregate_rows for one query's ranked (row, cosine, distance) triples."""
-    if not neighbors:
-        raise ValueError("aggregate: empty neighbor list")
-    rows = np.array([[n[0] for n in neighbors]], dtype=np.int64)
-    dists = np.array([[n[2] for n in neighbors]], dtype=np.float64)
-    return aggregate_rows(index, rows, dists)[0]
 
 
 def predict_slide(checkpoint: Checkpoint, index: RetrievalIndex, test_slide: Slide, k: int) -> np.ndarray:

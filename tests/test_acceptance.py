@@ -17,14 +17,13 @@ import pytest
 import conftest
 from stexp.cli import main as cli_main
 from stexp.cli import run_gradient_suite
-from stexp.contrastive import TrainConfig, clip_loss, loss_from_similarity
+from stexp.contrastive import TrainConfig, loss_from_similarity
 from stexp.data import load_dataset, preprocess, synth_generate
 from stexp.encoders import EncoderConfig
 from stexp.evaluation import (
     ari,
     compute_metrics,
     fold_seed,
-    gene_pvalues,
     kmeans,
     mean_record,
     pca,
@@ -32,11 +31,11 @@ from stexp.evaluation import (
 )
 from stexp.inference import (
     RetrievalIndex,
-    aggregate,
+    aggregate_rows,
     build_index,
     encode_slide_patches,
     predict_slide,
-    query_topk,
+    search,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -92,7 +91,7 @@ def test_criterion_03_loss_calibration():
         hp /= np.linalg.norm(hp, axis=1, keepdims=True)
         hs = rng.standard_normal((16, 256))
         hs /= np.linalg.norm(hs, axis=1, keepdims=True)
-        rng_losses.append(clip_loss(hp, hs, 1.0))
+        rng_losses.append(loss_from_similarity(hp @ hs.T, 1.0))
     mean_loss = float(np.mean(rng_losses))
     ok &= abs(mean_loss - math.log(16)) <= 0.10 * math.log(16)
     report(3, ok, f"uniform=lnN exact, random-draw mean {mean_loss:.4f} vs ln16={math.log(16):.4f}")
@@ -161,21 +160,20 @@ def test_criterion_05_aggregation_arithmetic(small_trained):
         expressions=np.array([[10.0], [20.0]], dtype=np.float32),
         provenance=[("r", 0), ("r", 1)],
     )
-    ok &= aggregate([(0, 0.9, 1.0), (1, 0.8, 2.0)], tiny)[0] == 12.0
+    ok &= aggregate_rows(tiny, np.array([[0, 1]]), np.array([[1.0, 2.0]]))[0, 0] == 12.0
 
     # k=1 passthrough is exact
     row = int(np.random.default_rng(0).integers(index.size))
-    ok &= np.array_equal(aggregate([(row, 0.5, 0.3)], index),
+    ok &= np.array_equal(aggregate_rows(index, np.array([[row]]), np.array([[0.3]]))[0],
                          index.expressions[row].astype(np.float64))
 
     # convex bounds on 1000 random queries against the real index
     rng = np.random.default_rng(42)
-    for _ in range(1000):
-        q = rng.standard_normal(index.embeddings.shape[1])
-        q /= np.linalg.norm(q)
-        neighbors = query_topk(index, q, 5)
-        out = aggregate(neighbors, index)
-        ref = index.expressions[[n[0] for n in neighbors]].astype(np.float64)
+    queries = np.array([rng.standard_normal(index.embeddings.shape[1]) for _ in range(1000)])
+    queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+    rows, _, dists = search(index, queries, 5)
+    for out, neighbors in zip(aggregate_rows(index, rows, dists), rows):
+        ref = index.expressions[neighbors].astype(np.float64)
         ok &= bool(np.all(out >= ref.min(axis=0) - 1e-9) and np.all(out <= ref.max(axis=0) + 1e-9))
     report(5, ok, "hand example exact, k=1 exact, 1000 convex-bound queries")
 
@@ -234,11 +232,8 @@ def test_criterion_06_end_to_end_learning(end_to_end):
     rng = np.random.default_rng(conftest.SYNTH_SEED)
     for f in folds:
         index = f["index"]
-        pred = np.empty((f["test"].spot_num, 64))
-        for i in range(f["test"].spot_num):
-            rows = rng.choice(index.size, size=50, replace=False)
-            neighbors = [(int(r), 0.0, 1.0) for r in rows]
-            pred[i] = aggregate(neighbors, index)
+        rows = np.array([rng.choice(index.size, size=50, replace=False) for _ in range(f["test"].spot_num)])
+        pred = aggregate_rows(index, rows, np.ones(rows.shape))
         rand_pccs.append(compute_metrics(pred, f["test"].expression).pcc_acg)
     baseline_rand = float(np.mean(rand_pccs))
 
@@ -301,7 +296,7 @@ def test_criterion_08_metrics_correctness():
             want_r = conftest.pearson_oracle(pred[:, j], obs[:, j])
             ok &= abs(m.per_gene[j][1] - want_r) <= 1e-6
             want_p = conftest.t_two_sided_p_oracle(want_r, s)
-            got_nlp = gene_pvalues(pred[:, j], obs[:, j])
+            got_nlp = m.per_gene[j][2]
             ok &= abs(got_nlp - (-math.log10(want_p))) <= 1e-4 * abs(math.log10(want_p))
         ok &= abs(m.mse - ((pred - obs) ** 2).mean()) <= 1e-9
         ok &= abs(m.mae - np.abs(pred - obs).mean()) <= 1e-9

@@ -7,9 +7,11 @@ import warnings
 from argparse import Namespace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stexp import cli
+from stexp import diffcore as dc
 from stexp.cli import main
 from stexp.contrastive import TrainConfig
 from stexp.data import GenConfig
@@ -236,6 +238,25 @@ class TestGradCheckCommand:
         assert "full_loss_graph" in out
         assert "gradient suite: pass" in out
 
+    def test_every_primitive_has_a_case(self):
+        # a case named after each primitive op, whose graph really runs that op
+        not_ops = {"GraphError", "Tensor", "ParamSet", "constant", "backward", "evaluate_with_gradients",
+                   "grad_check", "GradCheckReport"}
+        cases = {}
+        for name, graph, arrays in cli._primitive_check_graphs(np.random.default_rng(0)):
+            params = dc.ParamSet()
+            for pname, arr in arrays.items():
+                params.add(pname, arr)
+            ops, stack = set(), [graph(params, [])]
+            while stack:
+                node = stack.pop()
+                ops.add(node.op)
+                stack.extend(node.parents)
+            cases[name] = ops
+        for op in sorted(set(dc.__all__) - not_ops):
+            assert op in cases, f"run_gradient_suite has no {op} case"
+            assert op in cases[op], f"the {op} case does not run {op}"
+
 
 class TestDivergence:
     def test_train_writes_snapshot_without_warnings(self, tmp_path, capsys):
@@ -307,13 +328,77 @@ class TestTypedKeys:
         assert not list(tmp_path.glob(".tmp-*"))
 
 
+class TestPreflight:
+    """Config values that would fail late, or train silently wrong, exit 1 before the work they would spoil."""
+
+    @pytest.mark.parametrize("assignment, key", [
+        ("train.learning_rate=-1", "learning_rate"),
+        ("train.learning_rate=0", "learning_rate"),
+        ("train.learning_rate=NaN", "learning_rate"),
+        ("train.beta1=1", "beta1"),
+        ("train.beta2=-0.1", "beta2"),
+        ("train.beta2=NaN", "beta2"),
+        ("train.epsilon=0", "epsilon"),
+        ("train.temperature=NaN", "temperature"),
+    ])
+    def test_optimizer_bounds(self, pipeline, tmp_path, capsys, monkeypatch, assignment, key):
+        root, cfg = pipeline
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("data loaded before the check"))
+        out = tmp_path / "ck"
+        assert main(["train", "--config", str(cfg), "--set", assignment, "--data", str(root / "data"),
+                     "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_conv_stack_rejected_before_preprocess(self, pipeline, tmp_path, capsys, monkeypatch):
+        root, cfg = pipeline
+        monkeypatch.setattr(cli, "preprocess", lambda *a, **k: pytest.fail("preprocessed before the check"))
+        out = tmp_path / "ck"
+        assert main(["train", "--config", str(cfg), "--set", "encoder.conv_channels=[]",
+                     "--data", str(root / "data"), "--out", str(out)]) == 1
+        assert "conv_channels" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("use_positional, rc", [("true", 1), ("false", 2)])
+    def test_positional_table_smaller_than_coordinates(self, pipeline, tmp_path, capsys, monkeypatch,
+                                                       use_positional, rc):
+        root, cfg = pipeline
+
+        def preprocess(*args, **kwargs):
+            raise RuntimeError("preprocess reached")
+
+        monkeypatch.setattr(cli, "preprocess", preprocess)
+        monkeypatch.setattr(cli, "fit", lambda *a, **k: pytest.fail("fit called before the check"))
+        out = tmp_path / "ck"
+        assert main(["train", "--config", str(cfg), "--set", "encoder.n_positions=4",
+                     "--set", f"encoder.use_positional={use_positional}",
+                     "--data", str(root / "data"), "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        assert ("config key encoder.n_positions=4" in err) == (rc == 1)  # the table is unused without it
+        assert ("preprocess reached" in err) == (rc == 2)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["loocv", "--set", "inference.k=0"],
+        ["loocv", "--set", "inference.k=25"],  # each fold trains on the other slide's 24 spots
+        ["ablate", "--toggles", "no_mhsa", "--k-sweep", "1,999"],
+    ])
+    def test_k_checked_before_the_first_fold_trains(self, pipeline, tmp_path, capsys, monkeypatch, command):
+        root, cfg = pipeline
+        monkeypatch.setattr(cli.ev, "fit", lambda *a, **k: pytest.fail("a fold trained before k was checked"))
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(cfg), "--data", str(root / "data"), "--out", str(out)]) == 1
+        assert "k=" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # Every key --set/--config accepts, each with a valid value that differs from its default.
 CHANGED_VALUES = {
     "seed": 3,
     "data.slides": 2, "data.spots_per_slide": 24, "data.gene_num": 24, "data.domains": 3,
     "data.signal": 0.5, "data.patch": [3, 8, 8], "data.coord_max": 64, "data.library_size": 1000,
     "data.hvg_num": 8,
-    "encoder.d_embed": 16, "encoder.n_heads": 2, "encoder.n_positions": 128,
+    "encoder.d_embed": 16, "encoder.n_heads": 2, "encoder.n_positions": 512,  # above every coordinate
     "encoder.conv_channels": [6], "encoder.proj_hidden": 16, "encoder.use_positional": False,
     "encoder.use_mhsa": False, "encoder.attn_residual": False, "encoder.image_identity": True,
     "train.batch_size": 8, "train.epochs": 3, "train.learning_rate": 2e-3, "train.temperature": 0.1,

@@ -13,16 +13,14 @@ from stexp.contrastive import (
     TrainConfig,
     TrainingDiverged,
     build_loss_graph,
-    clip_loss,
     fit,
     load_checkpoint,
     loss_from_similarity,
     save_checkpoint,
-    similarity,
 )
 from stexp.data import GenConfig, load_dataset, preprocess, synth_generate
 from stexp.encoders import EncoderConfig, embed_patches, embed_spots, init_params
-from stexp.inference import build_index, encode_slide_patches, query_topk
+from stexp.inference import RetrievalIndex, build_index, encode_slide_patches, search
 
 
 def random_unit_rows(n, d, seed=0):
@@ -30,38 +28,49 @@ def random_unit_rows(n, d, seed=0):
     return h / np.linalg.norm(h, axis=1, keepdims=True)
 
 
+def cosine_matrix(h_a, h_b):
+    """Every row of h_a against every row of h_b, by retrieval: h_b is the index, h_a the queries."""
+    index = RetrievalIndex(embeddings=h_b, expressions=np.zeros((len(h_b), 1)),
+                           provenance=[("ref", i) for i in range(len(h_b))])
+    rows, cosines, _ = search(index, h_a, len(h_b))
+    sim = np.empty((len(h_a), len(h_b)))
+    np.put_along_axis(sim, rows, cosines, axis=1)
+    return sim
+
+
 class TestSimilarity:
     def test_orthonormal_rows_identity(self):
         h = np.eye(4)[:, :4]
-        np.testing.assert_allclose(similarity(h, h), np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(cosine_matrix(h, h), np.eye(4), atol=1e-12)
 
     def test_orthogonal_rows_zero(self):
         a = np.array([[1.0, 0.0]])
         b = np.array([[0.0, 1.0]])
-        assert similarity(a, b)[0, 0] == 0.0
+        assert cosine_matrix(a, b)[0, 0] == 0.0
 
     def test_hand_normalized_vector(self):
         # [3,4] normalized -> [0.6, 0.8]; dot with itself = 1.0
         h = np.array([[3.0, 4.0]]) / 5.0
-        assert similarity(h, h)[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert cosine_matrix(h, h)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unnormalized(self):
         good = random_unit_rows(3, 8)
         bad = good * 1.01
         with pytest.raises(ValueError, match="norm"):
-            similarity(good, bad)
+            cosine_matrix(good, bad)
 
     def test_rejects_nan_row(self):
         good = random_unit_rows(3, 8)
         bad = good.copy()
         bad[1] = np.nan
-        for a, b in ((good, bad), (bad, good)):
-            with pytest.raises(ValueError, match="row 1 has norm nan"):
-                similarity(a, b)
+        with pytest.raises(ValueError, match="row 1 has norm nan"):
+            cosine_matrix(good, bad)
+        with pytest.raises(ValueError, match="queries contain NaN"):  # queries are checked by search
+            cosine_matrix(bad, good)
 
     def test_values_in_cosine_range(self):
         a, b = random_unit_rows(20, 16, 1), random_unit_rows(30, 16, 2)
-        s = similarity(a, b)
+        s = cosine_matrix(a, b)
         assert s.min() >= -1.0 - 1e-6 and s.max() <= 1.0 + 1e-6
 
 
@@ -82,10 +91,10 @@ class TestClipLoss:
     def test_symmetry_exact(self):
         hp = random_unit_rows(6, 16, 3)
         hs = random_unit_rows(6, 16, 4)
-        assert clip_loss(hp, hs, 0.5) == clip_loss(hs, hp, 0.5)
+        assert loss_from_similarity(hp @ hs.T, 0.5) == loss_from_similarity(hs @ hp.T, 0.5)
 
     def test_logit_temperature_invariance_exact(self):
-        sim = similarity(random_unit_rows(8, 16, 5), random_unit_rows(8, 16, 6))
+        sim = random_unit_rows(8, 16, 5) @ random_unit_rows(8, 16, 6).T
         assert loss_from_similarity(sim, tau=1.0) == loss_from_similarity(2.0 * sim, tau=2.0)
 
     def test_loss_nonnegative(self):
@@ -99,14 +108,14 @@ class TestClipLoss:
         # untrained 256-d unit embeddings: mean loss over 100 draws ~ ln 16
         n, d = 16, 256
         losses = [
-            clip_loss(random_unit_rows(n, d, 2 * t), random_unit_rows(n, d, 2 * t + 1), 1.0)
+            loss_from_similarity(random_unit_rows(n, d, 2 * t) @ random_unit_rows(n, d, 2 * t + 1).T, 1.0)
             for t in range(100)
         ]
         assert np.mean(losses) == pytest.approx(math.log(n), rel=0.10)
 
     def test_single_pair_rejected(self):
         with pytest.raises(ValueError, match="2 pairs"):
-            clip_loss(random_unit_rows(1, 4), random_unit_rows(1, 4), 1.0)
+            loss_from_similarity(random_unit_rows(1, 4) @ random_unit_rows(1, 4).T, 1.0)
 
     def test_full_loss_graph_grad_check_four_pairs(self):
         cfg = EncoderConfig(
@@ -186,7 +195,8 @@ class TestFit:
         index = build_index(ckpt, tiny_processed.train_slides())
         slide = tiny_processed.slides[0]
         queries = encode_slide_patches(slide, ckpt)
-        hits = sum(1 for i in range(slide.spot_num) if query_topk(index, queries[i], 1)[0][0] == i)
+        rows, _, _ = search(index, queries, 1)
+        hits = int(np.sum(rows[:, 0] == np.arange(slide.spot_num)))
         assert hits >= 0.9 * slide.spot_num, f"{hits}/{slide.spot_num} self-retrievals"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/nan arithmetic is the point

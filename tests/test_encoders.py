@@ -44,6 +44,14 @@ class TestConfig:
         assert tiny_cfg(image_identity=True).feat_dim == 3 * 8 * 8
         assert tiny_cfg(input_kind="features", patch_shape=None, input_feat_dim=13).feat_dim == 13
 
+    def test_conv_stack_needs_a_channel_per_layer(self):
+        for channels in ((), (4, 0)):
+            with pytest.raises(ValueError, match="conv_channels"):
+                tiny_cfg(conv_channels=channels)
+        # no conv stack runs for precomputed features or the identity image path
+        assert tiny_cfg(conv_channels=(), input_kind="features", patch_shape=None, input_feat_dim=5).feat_dim == 5
+        assert tiny_cfg(conv_channels=(), image_identity=True).feat_dim == 3 * 8 * 8
+
 
 class TestEncodePatch:
     def test_zero_patch_finite(self):

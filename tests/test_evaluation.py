@@ -13,7 +13,6 @@ from stexp.evaluation import (
     compute_metrics,
     detect_domains,
     fold_seed,
-    gene_pvalues,
     heg_indices,
     kmeans,
     loocv,
@@ -106,16 +105,21 @@ class TestHeg:
         assert m.pcc_heg == pytest.approx(want, abs=1e-9)
 
 
+def gene_neg_log10_p(x, y):
+    """compute_metrics' -log10 p for one gene observed as y and predicted as x."""
+    return compute_metrics(np.asarray(x)[:, None], np.asarray(y)[:, None]).per_gene[0][2]
+
+
 class TestGenePvalues:
     def test_null_r_zero(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         y = np.array([1.0, -1.0, -1.0, 1.0])  # r = 0 by symmetry
-        assert gene_pvalues(x, y) == pytest.approx(0.0, abs=1e-6)
+        assert gene_neg_log10_p(x, y) == pytest.approx(0.0, abs=1e-6)
 
     def test_perfect_correlation_capped(self):
         x = np.arange(10.0)
-        assert gene_pvalues(x, 2 * x + 1) == 300.0
-        assert gene_pvalues(x, -x) == 300.0
+        assert gene_neg_log10_p(x, 2 * x + 1) == 300.0
+        assert gene_neg_log10_p(x, -x) == 300.0
 
     def test_s20_r_half_example(self):
         # construct twenty samples with exact r = 0.5, then compare with the
@@ -132,7 +136,7 @@ class TestGenePvalues:
         target_r = 0.5
         mixed = target_r * x / np.linalg.norm(x) + np.sqrt(1 - target_r**2) * y
         assert conftest.pearson_oracle(x, mixed) == pytest.approx(0.5, abs=1e-12)
-        got = gene_pvalues(x, mixed)
+        got = gene_neg_log10_p(x, mixed)
         want = -np.log10(conftest.t_two_sided_p_oracle(0.5, 20))
         assert got == pytest.approx(want, rel=1e-6)
         assert got == pytest.approx(1.6061, abs=2e-4)
@@ -146,7 +150,7 @@ class TestGenePvalues:
             y = rng.standard_normal(s)
             r = conftest.pearson_oracle(x, y)
             want_p = conftest.t_two_sided_p_oracle(r, s)
-            got = gene_pvalues(x, y)
+            got = gene_neg_log10_p(x, y)
             assert got == pytest.approx(-np.log10(want_p), rel=1e-4)
 
     def test_monotone_in_abs_r(self):

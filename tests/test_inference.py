@@ -12,13 +12,11 @@ from stexp.encoders import EncoderConfig
 from stexp.inference import (
     LeakageError,
     RetrievalIndex,
-    aggregate,
     aggregate_rows,
     build_index,
     encode_slide_patches,
     load_index,
     predict_slide,
-    query_topk,
     save_index,
     search,
 )
@@ -56,6 +54,17 @@ def reference_predict(index, queries, k):
     return want
 
 
+def search_one(index, q, k):
+    """search for a single query: its ranked row ids, cosines and distances."""
+    rows, cosines, dists = search(index, np.asarray(q).reshape(1, -1), k)
+    return rows[0], cosines[0], dists[0]
+
+
+def aggregate_one(index, rows, dists):
+    """aggregate_rows for a single query's ranked rows and distances."""
+    return aggregate_rows(index, np.array([rows], dtype=np.int64), np.array([dists], dtype=np.float64))[0]
+
+
 def blocks_of(monkeypatch, index, queries_per_block):
     """Shrink the search block budget to a few queries per block."""
     monkeypatch.setattr(inference, "SEARCH_BLOCK_BYTES",
@@ -88,9 +97,9 @@ class TestBuildIndex:
         ckpt, ds = trained
         index = build_index(ckpt, ds.train_slides())
         for row in (0, 7, index.size - 1):
-            top = query_topk(index, index.embeddings[row], 1)[0]
-            assert top[0] == row
-            assert top[1] == pytest.approx(1.0, abs=1e-5)
+            rows, cosines, _ = search_one(index, index.embeddings[row], 1)
+            assert rows[0] == row
+            assert cosines[0] == pytest.approx(1.0, abs=1e-5)
 
     def test_rows_unit_norm(self, trained):
         ckpt, ds = trained
@@ -115,9 +124,9 @@ class TestQueryTopk:
     def test_exhaustive_case_sorted(self):
         index = make_index(n=12)
         q = unit_rows(1, 8, 3)[0]
-        triples = query_topk(index, q, 12)
-        assert len(triples) == 12
-        cosines = [t[1] for t in triples]
+        rows, cosines, _ = search_one(index, q, 12)
+        assert len(rows) == 12
+        cosines = cosines.tolist()
         assert cosines == sorted(cosines, reverse=True)
 
     def test_matches_brute_force_on_random_queries(self):
@@ -126,7 +135,7 @@ class TestQueryTopk:
         for _ in range(20):
             q = rng.standard_normal(8)
             q /= np.linalg.norm(q)
-            got = [t[0] for t in query_topk(index, q, 7)]
+            got = search_one(index, q, 7)[0].tolist()
             # independent brute force: full scan, sort by (-cos, row)
             cos = index.embeddings.astype(np.float64) @ q
             want = sorted(range(40), key=lambda r: (-cos[r], r))[:7]
@@ -136,7 +145,7 @@ class TestQueryTopk:
     def test_distance_identity_for_unit_vectors(self):
         index = make_index(n=25, seed=2)
         q = unit_rows(1, 8, 9)[0]
-        for row, cos, dist in query_topk(index, q, 25):
+        for row, cos, dist in zip(*search_one(index, q, 25)):
             assert dist * dist == pytest.approx(2.0 - 2.0 * cos, abs=1e-5)
 
     def test_tie_break_lower_row_id(self):
@@ -147,28 +156,28 @@ class TestQueryTopk:
             expressions=np.arange(8, dtype=np.float32).reshape(4, 2),
             provenance=[("r", i) for i in range(4)],
         )
-        got = [t[0] for t in query_topk(index, emb[0], 3)]
+        got = search_one(index, emb[0], 3)[0].tolist()
         assert got == [0, 1, 2]
 
     def test_non_finite_query_rejected(self):
         q = unit_rows(1, 8)[0]
         q[2] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            query_topk(make_index(), q, 3)
+            search_one(make_index(), q, 3)
 
     def test_k_validation(self):
         index = make_index(n=5)
         q = unit_rows(1, 8)[0]
         with pytest.raises(ValueError, match="k="):
-            query_topk(index, q, 6)
+            search_one(index, q, 6)
         with pytest.raises(ValueError, match="k="):
-            query_topk(index, q, 0)
+            search_one(index, q, 0)
 
 
 class TestAggregate:
     def test_single_neighbor_passthrough_exact(self):
         index = make_index()
-        out = aggregate([(3, 0.9, 0.5)], index)
+        out = aggregate_one(index, [3], [0.5])
         np.testing.assert_array_equal(out, index.expressions[3].astype(np.float64))
 
     def test_hand_weights_example(self):
@@ -179,18 +188,18 @@ class TestAggregate:
             expressions=np.array([[10.0], [20.0]], dtype=np.float32),
             provenance=[("r", 0), ("r", 1)],
         )
-        out = aggregate([(0, 0.9, 1.0), (1, 0.8, 2.0)], index)
+        out = aggregate_one(index, [0, 1], [1.0, 2.0])
         assert out[0] == pytest.approx(12.0, abs=1e-12)
 
     def test_equidistant_neighbors_arithmetic_mean(self):
         index = make_index(n=6, seed=3)
         rows = [0, 2, 4]
-        out = aggregate([(r, 0.5, 0.7) for r in rows], index)
+        out = aggregate_one(index, rows, [0.7] * len(rows))
         np.testing.assert_allclose(out, index.expressions[rows].astype(np.float64).mean(axis=0), atol=1e-12)
 
     def test_near_zero_distance_returns_neighbor_exactly(self):
         index = make_index(n=6, seed=4)
-        out = aggregate([(1, 1.0, 1e-12), (2, 0.4, 1.0)], index)
+        out = aggregate_one(index, [1, 2], [1e-12, 1.0])
         np.testing.assert_array_equal(out, index.expressions[1].astype(np.float64))
 
     def test_weights_monotone_in_distance(self):
@@ -206,15 +215,15 @@ class TestAggregate:
         rng = np.random.default_rng(8)
         for _ in range(200):
             rows = rng.choice(30, size=5, replace=False)
-            neigh = [(int(r), 0.5, float(rng.uniform(0.05, 2.0))) for r in rows]
-            out = aggregate(neigh, index)
+            dists = [float(rng.uniform(0.05, 2.0)) for _ in rows]
+            out = aggregate_one(index, rows, dists)
             ref = index.expressions[rows].astype(np.float64)
             assert np.all(out >= ref.min(axis=0) - 1e-9)
             assert np.all(out <= ref.max(axis=0) + 1e-9)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            aggregate([], make_index())
+        with pytest.raises(ValueError, match="empty neighbor list"):
+            aggregate_one(make_index(), [], [])
 
 
 class TestPredictSlide:
