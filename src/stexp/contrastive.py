@@ -13,7 +13,7 @@ import functools
 import json
 import logging
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .diffcore import ParamSet, Tensor
 log = logging.getLogger(__name__)
 
 UNIT_NORM_TOL = 1e-5
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # moment decay rates, denominator epsilon
 
 
 class TrainingDiverged(RuntimeError):
@@ -42,10 +43,6 @@ class TrainConfig:
     epochs: int = 40
     learning_rate: float = 1e-3
     temperature: float = 1.0
-    learn_temperature: bool = False
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -58,11 +55,6 @@ class TrainConfig:
             raise ValueError("TrainConfig: temperature must be positive")
         if not (self.learning_rate > 0):
             raise ValueError(f"TrainConfig: learning_rate must be positive, got {self.learning_rate}")
-        for name in ("beta1", "beta2"):
-            if not (0 <= getattr(self, name) < 1):
-                raise ValueError(f"TrainConfig: {name} must be in [0, 1), got {getattr(self, name)}")
-        if not (self.epsilon > 0):
-            raise ValueError(f"TrainConfig: epsilon must be positive, got {self.epsilon}")
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +70,7 @@ def _check_unit_rows(h: np.ndarray, name: str) -> None:
         raise ValueError(f"{name}: row {int(bad[0])} has norm {norms[bad[0]]:.6f}, expected 1 +/- {UNIT_NORM_TOL}")
 
 
-def _symmetric_ce(sim: Tensor, inv_tau) -> Tensor:
+def _symmetric_ce(sim: Tensor, inv_tau: float) -> Tensor:
     """(CE over rows + CE over columns) / 2 against diagonal targets."""
     n = sim.shape[0]
     targets = np.arange(n)
@@ -101,12 +93,6 @@ def loss_from_similarity(sim: np.ndarray, tau: float) -> float:
     return float(node.data.reshape(()))
 
 
-def _inv_tau_term(params: ParamSet, cfg: TrainConfig):
-    if cfg.learn_temperature:
-        return dc.exp(dc.scale(params["temp.log_tau"], -1.0))
-    return 1.0 / cfg.temperature
-
-
 def build_loss_graph(
     params: ParamSet,
     patch_input: Tensor,
@@ -119,7 +105,7 @@ def build_loss_graph(
     h_patch = enc.project(enc.encode_patch(patch_input, params, enc_cfg), params, "img_proj")
     h_spot = enc.encode_spots(expression, coords, params, enc_cfg)
     sim = dc.matmul(h_patch, dc.transpose(h_spot))
-    return _symmetric_ce(sim, _inv_tau_term(params, train_cfg))
+    return _symmetric_ce(sim, 1.0 / train_cfg.temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +128,28 @@ def config_from_json(cls, values: dict):
     return cls(**{name: tuple(v) if name in tuples and isinstance(v, list) else v for name, v in values.items()})
 
 
+# Fields that manifests from before they were fixed still hold: {section: {field: the value the code implements}}
+_RETIRED_FIELDS = {
+    "encoder": {"attn_residual": True},
+    "train": {"learn_temperature": False, "beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "epsilon": ADAM_EPSILON},
+}
+
+
+def _manifest_config(cls, manifest: dict, section: str):
+    """A manifest section as a `cls`: a retired field is dropped if it holds its fixed value, else refused."""
+    known = {f.name for f in fields(cls)}
+    values = {}
+    for name, value in manifest[section].items():
+        if name in known:
+            values[name] = value
+        elif name not in _RETIRED_FIELDS[section]:
+            raise ValueError(f"checkpoint manifest field {section}.{name} is not a {cls.__name__} field")
+        elif value != _RETIRED_FIELDS[section][name]:
+            raise ValueError(f"checkpoint manifest field {section}.{name}={value!r} is no longer supported "
+                             f"(only {_RETIRED_FIELDS[section][name]!r})")
+    return config_from_json(cls, values)
+
+
 @dataclass
 class Checkpoint:
     params: ParamSet
@@ -150,11 +158,11 @@ class Checkpoint:
 
     @property
     def encoder_config(self) -> enc.EncoderConfig:
-        return config_from_json(enc.EncoderConfig, self.manifest["encoder"])
+        return _manifest_config(enc.EncoderConfig, self.manifest, "encoder")
 
     @property
     def train_config(self) -> TrainConfig:
-        return config_from_json(TrainConfig, self.manifest["train"])
+        return _manifest_config(TrainConfig, self.manifest, "train")
 
 
 def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
@@ -166,15 +174,7 @@ def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
     chunks = []
     for name, t in ckpt.params.items():
         arr = t.data.astype("<f4")
-        entries.append(
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "offset": offset,
-                "nbytes": arr.nbytes,
-                "frozen": False,  # kept so the manifest format does not change; load_checkpoint ignores it
-            }
-        )
+        entries.append({"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes})
         chunks.append(arr.tobytes())
         offset += arr.nbytes
     manifest = dict(ckpt.manifest)
@@ -240,12 +240,7 @@ def fit(dataset: ProcessedDataset, train_cfg: TrainConfig, enc_cfg: enc.EncoderC
     if too_small:
         raise ValueError(f"fit: batch_size={train_cfg.batch_size} exceeds spot count of {too_small}")
 
-    params = enc.init_params(
-        enc_cfg,
-        train_cfg.seed,
-        learn_temperature=train_cfg.learn_temperature,
-        init_log_tau=float(np.log(train_cfg.temperature)),
-    )
+    params = enc.init_params(enc_cfg, train_cfg.seed)
     moments1 = {n: np.zeros_like(t.data) for n, t in params.items()}
     moments2 = {n: np.zeros_like(t.data) for n, t in params.items()}
     step = 0
@@ -276,7 +271,7 @@ def fit(dataset: ProcessedDataset, train_cfg: TrainConfig, enc_cfg: enc.EncoderC
                         raise TrainingDiverged(f"fit: loss became {loss} at epoch {epoch} step {step}", snapshot)
 
                     step += 1
-                    b1, b2 = train_cfg.beta1, train_cfg.beta2
+                    b1, b2 = ADAM_BETA1, ADAM_BETA2
                     for name, g in grads.items():
                         m = moments1[name]
                         v = moments2[name]
@@ -284,7 +279,7 @@ def fit(dataset: ProcessedDataset, train_cfg: TrainConfig, enc_cfg: enc.EncoderC
                         v += (1.0 - b2) * (g * g - v)
                         m_hat = m / (1.0 - b1**step)
                         v_hat = v / (1.0 - b2**step)
-                        params[name].data -= train_cfg.learning_rate * m_hat / (np.sqrt(v_hat) + train_cfg.epsilon)
+                        params[name].data -= train_cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
                 epoch_losses.append(loss)
         mean_loss = float(np.mean(epoch_losses))
         history.append(mean_loss)

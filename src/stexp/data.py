@@ -188,7 +188,6 @@ class ProcessedDataset:
 
     slides: list[Slide]
     gene_names: list[str]
-    hvg_indices: np.ndarray  # indices into the raw gene panel, variance-descending
     manifest: dict
 
     def train_slides(self) -> list[Slide]:
@@ -277,12 +276,7 @@ def preprocess(slides: list[Slide], hvg_num: int, train_ids: list[str]) -> Proce
         "dropped_spots": {k: v for k, v in dropped.items() if v},
     }
     out_slides = [transform_slide(s, manifest) for s in slides]
-    return ProcessedDataset(
-        slides=out_slides,
-        gene_names=out_slides[0].gene_names,
-        hvg_indices=hvg,
-        manifest=manifest,
-    )
+    return ProcessedDataset(slides=out_slides, gene_names=out_slides[0].gene_names, manifest=manifest)
 
 
 # ---------------------------------------------------------------------------

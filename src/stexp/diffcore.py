@@ -2,8 +2,8 @@
 
 The graph is built dynamically from a fixed, minimal primitive set:
 
-    matmul, add, scale, row_softmax, exp, l2_normalize_rows, transpose,
-    concat, conv2d, relu, gelu, mean, cross_entropy_with_index_targets
+    matmul, add, scale, row_softmax, l2_normalize_rows, transpose, concat,
+    conv2d, relu, gelu, mean, cross_entropy_with_index_targets
 
 Everything else in the model is composed from these. Each primitive knows
 its own exact reverse-mode rule, and ``grad_check`` verifies any graph
@@ -32,7 +32,6 @@ __all__ = [
     "add",
     "scale",
     "row_softmax",
-    "exp",
     "l2_normalize_rows",
     "transpose",
     "concat",
@@ -144,25 +143,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     raise GraphError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
-def scale(x: Tensor, s) -> Tensor:
-    """Multiply by a scalar: a Python number or a single-element tensor."""
-    if isinstance(s, Tensor):
-        if s.size != 1:
-            raise GraphError(f"scale: scalar operand has shape {s.shape}")
-        s_val = s.data.reshape(())
-
-        def grad_fn(g):
-            gs = np.sum(g * x.data)
-            return g * s_val, np.full(s.shape, gs, dtype=s.data.dtype)
-
-        return _result(x.data * s_val, (x, s), grad_fn, "scale")
-
-    s_val = float(s)
+def scale(x: Tensor, s: float) -> Tensor:
+    """Multiply by a Python number."""
+    s = float(s)
 
     def grad_fn(g):
-        return (g * s_val,)
+        return (g * s,)
 
-    return _result(x.data * s_val, (x,), grad_fn, "scale")
+    return _result(x.data * s, (x,), grad_fn, "scale")
 
 
 def row_softmax(x: Tensor) -> Tensor:
@@ -177,15 +165,6 @@ def row_softmax(x: Tensor) -> Tensor:
         return (y * (g - dot),)
 
     return _result(y, (x,), grad_fn, "row_softmax")
-
-
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-
-    def grad_fn(g):
-        return (g * y,)
-
-    return _result(y, (x,), grad_fn, "exp")
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:

@@ -34,12 +34,13 @@ class EncoderConfig:
     input_feat_dim: int | None = None  # when features
     use_positional: bool = True
     use_mhsa: bool = True
-    attn_residual: bool = True  # add the attention input back to its output (see encode_spots)
     image_identity: bool = False  # bypass the conv stack, flatten pixels
 
     def __post_init__(self):
         if self.d_embed <= 0:
             raise ValueError("EncoderConfig: d_embed must be positive")
+        if self.proj_hidden < 1:
+            raise ValueError(f"EncoderConfig: proj_hidden must be at least 1, got {self.proj_hidden}")
         if self.n_heads <= 0 or self.hvg_num % self.n_heads != 0:
             raise ValueError(
                 f"EncoderConfig: hvg_num={self.hvg_num} must be divisible by n_heads={self.n_heads}"
@@ -76,8 +77,7 @@ def _uniform(rng: np.random.Generator, fan_in: int, shape, dtype=np.float32) -> 
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def init_params(cfg: EncoderConfig, seed: int, *, learn_temperature: bool = False,
-                init_log_tau: float = 0.0) -> ParamSet:
+def init_params(cfg: EncoderConfig, seed: int) -> ParamSet:
     """Create all learnable tensors in a fixed order from a seeded generator.
 
     Weights are uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)); biases start at zero.
@@ -113,9 +113,6 @@ def init_params(cfg: EncoderConfig, seed: int, *, learn_temperature: bool = Fals
     ps.add("spot_proj.b1", np.zeros(cfg.proj_hidden, dtype=np.float32))
     ps.add("spot_proj.w2", _uniform(rng, cfg.proj_hidden, (cfg.proj_hidden, cfg.d_embed)))
     ps.add("spot_proj.b2", np.zeros(cfg.d_embed, dtype=np.float32))
-
-    if learn_temperature:
-        ps.add("temp.log_tau", np.array(init_log_tau, dtype=np.float32))
     return ps
 
 
@@ -196,24 +193,17 @@ def mhsa(x: Tensor, params: ParamSet, cfg: EncoderConfig) -> Tensor:
 
 
 def encode_spots(expression: Tensor, coords: np.ndarray, params: ParamSet, cfg: EncoderConfig) -> Tensor:
-    """Expression + positional encodings -> MHSA -> projection; rows unit-norm.
+    """Expression + positional encodings -> MHSA plus its input -> projection; rows unit-norm.
 
-    With attn_residual the attention input is added back to its output
-    (transformer-encoder style). Without it, a single softmax mixture of
-    rows that share a dominant positive mean collapses all outputs toward
-    one convex combination, which is untrainable at this depth.
+    Without that residual, the spot path cannot be trained at this depth.
     """
     x = expression
     if cfg.use_positional:
         sx, sy = positional_encode(coords, params, cfg)
         x = dc.add(dc.add(x, sx), sy)
     if cfg.use_mhsa:
-        z = mhsa(x, params, cfg)
-        if cfg.attn_residual:
-            z = dc.add(x, z)
-    else:
-        z = x
-    return project(z, params, "spot_proj")
+        x = dc.add(x, mhsa(x, params, cfg))
+    return project(x, params, "spot_proj")
 
 
 def embed_patches(patches: np.ndarray, params: ParamSet, cfg: EncoderConfig) -> np.ndarray:

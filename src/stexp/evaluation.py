@@ -25,6 +25,7 @@ log = logging.getLogger(__name__)
 
 HEG_SIZE = 50
 NEG_LOG10_P_CAP = 300.0
+KMEANS_ITERATIONS = 300  # Lloyd iterations at most, if the assignments never settle
 
 
 @dataclass
@@ -35,15 +36,6 @@ class MetricsRecord:
     mse: float
     mae: float
     per_gene: list[tuple[str, float, float]] = field(default_factory=list)  # (gene, r, -log10 p)
-
-    def row(self) -> dict:
-        return {
-            "slide_id": self.slide_id,
-            "pcc_acg": self.pcc_acg,
-            "pcc_heg": self.pcc_heg,
-            "mse": self.mse,
-            "mae": self.mae,
-        }
 
 
 def _pearson_columns(pred: np.ndarray, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,9 +200,7 @@ def pca(x: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     return components, centered @ components
 
 
-def kmeans(
-    scores: np.ndarray, k: int, seed: int, *, max_iter: int = 300, with_sse: bool = False
-):
+def kmeans(scores: np.ndarray, k: int, seed: int, *, with_sse: bool = False):
     """Seeded k-means++ then Lloyd iterations to an assignment fixpoint.
 
     An emptied cluster is re-seeded at the point farthest from its assigned
@@ -236,7 +226,7 @@ def kmeans(
 
     labels = np.zeros(s, dtype=np.int64)
     sse_history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_ITERATIONS):
         dists = ((scores[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = dists.argmin(axis=1)
         sse_history.append(float(dists[np.arange(s), new_labels].sum()))

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import shutil
 import warnings
 from argparse import Namespace
 from pathlib import Path
@@ -46,15 +47,14 @@ class TestGenData:
         assert main(["gen-data", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "b")]) == 0
         assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+    def test_environment_does_not_change_the_run(self, tmp_path, monkeypatch):
+        # the seed comes from --seed or the config only; STEXP_SEED was once a third way
         cfg = micro_config(tmp_path)
+        monkeypatch.delenv("STEXP_SEED", raising=False)
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "plain")]) == 0
         monkeypatch.setenv("STEXP_SEED", "7")
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "env")]) == 0
-        monkeypatch.delenv("STEXP_SEED")
-        assert main(["gen-data", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "flag")]) == 0
-        a, b = dir_bytes(tmp_path / "env"), dir_bytes(tmp_path / "flag")
-        a.pop("config.resolved.json"), b.pop("config.resolved.json")
-        assert a == b
+        assert dir_bytes(tmp_path / "env") == dir_bytes(tmp_path / "plain")
 
     def test_failed_validation_leaves_no_output(self, tmp_path):
         cfg = micro_config(tmp_path)
@@ -359,6 +359,51 @@ class TestPreflight:
         assert "conv_channels" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_proj_hidden_below_one_rejected_before_preprocess(self, pipeline, tmp_path, capsys, monkeypatch):
+        root, cfg = pipeline
+        monkeypatch.setattr(cli, "preprocess", lambda *a, **k: pytest.fail("preprocessed before the check"))
+        out = tmp_path / "ck"
+        assert main(["train", "--config", str(cfg), "--set", "encoder.proj_hidden=0",
+                     "--data", str(root / "data"), "--out", str(out)]) == 1
+        assert "proj_hidden" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("encoder", "foo", 1),  # no such field
+        ("encoder", "attn_residual", False),  # retired: only true is implemented
+        ("train", "beta1", 0.8),  # retired: only 0.9 is implemented
+    ])
+    def test_checkpoint_with_unsupported_field_rejected(self, pipeline, tmp_path, capsys,
+                                                        section, field, value):
+        root, cfg = pipeline
+        ck = tmp_path / "ck"
+        shutil.copytree(root / "ck", ck)
+        manifest = json.loads((ck / "manifest.json").read_text())
+        manifest[section][field] = value
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "idx"
+        assert main(["embed", "--config", str(cfg), "--checkpoint", str(ck), "--data", str(root / "data"),
+                     "--out", str(out)]) == 1
+        assert f"{section}.{field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_with_retired_fields_at_their_fixed_values_loads(self, pipeline, tmp_path):
+        root, cfg = pipeline
+        ck = tmp_path / "ck"
+        shutil.copytree(root / "ck", ck)
+        manifest = json.loads((ck / "manifest.json").read_text())
+        manifest["encoder"]["attn_residual"] = True
+        manifest["train"].update(learn_temperature=False, beta1=0.9, beta2=0.999, epsilon=1e-8)
+        for entry in manifest["params"]["entries"]:
+            entry["frozen"] = False
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+        args = ["--config", str(cfg), "--checkpoint", str(ck)]
+        assert main(["embed", *args, "--data", str(root / "data"), "--out", str(tmp_path / "idx")]) == 0
+        assert main(["predict", *args, "--index", str(tmp_path / "idx"), "--slide",
+                     str(root / "data" / "slide_001"), "--out", str(tmp_path / "pred")]) == 0
+        for name in ("idx/embeddings.f32", "pred/expression.f32"):
+            assert (tmp_path / name).read_bytes() == (root / name).read_bytes()
+
     @pytest.mark.parametrize("use_positional, rc", [("true", 1), ("false", 2)])
     def test_positional_table_smaller_than_coordinates(self, pipeline, tmp_path, capsys, monkeypatch,
                                                        use_positional, rc):
@@ -400,9 +445,8 @@ CHANGED_VALUES = {
     "data.hvg_num": 8,
     "encoder.d_embed": 16, "encoder.n_heads": 2, "encoder.n_positions": 512,  # above every coordinate
     "encoder.conv_channels": [6], "encoder.proj_hidden": 16, "encoder.use_positional": False,
-    "encoder.use_mhsa": False, "encoder.attn_residual": False, "encoder.image_identity": True,
+    "encoder.use_mhsa": False, "encoder.image_identity": True,
     "train.batch_size": 8, "train.epochs": 3, "train.learning_rate": 2e-3, "train.temperature": 0.1,
-    "train.learn_temperature": True, "train.beta1": 0.8, "train.beta2": 0.99, "train.epsilon": 1e-6,
     "inference.k": 5,
     "eval.pca_components": 10, "eval.clusters": 7,
 }

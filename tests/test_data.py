@@ -135,7 +135,7 @@ class TestPreprocess:
         slide.expression[::2, 0] = 9.0
         slide.expression[::2, 2] = 1.0
         ds = preprocess([slide], hvg_num=2, train_ids=[slide.slide_id])
-        assert set(ds.hvg_indices.tolist()) == {0, 2}
+        assert set(ds.manifest["hvg_indices"]) == {0, 2}
 
     def test_hvg_equals_gene_num_orders_by_variance(self):
         slide = make_slide(spots=30, genes=5)
@@ -144,7 +144,7 @@ class TestPreprocess:
             slide.expression / slide.expression.sum(1, keepdims=True) * 1e4
         ).astype(np.float64)
         variances = normed.var(axis=0)
-        assert list(ds.hvg_indices) == list(np.lexsort((np.arange(5), -variances)))
+        assert ds.manifest["hvg_indices"] == list(np.lexsort((np.arange(5), -variances)))
 
     def test_selection_uses_training_slides_only(self):
         train = make_slide(seed=1, spots=40, genes=12)
@@ -152,7 +152,7 @@ class TestPreprocess:
         test_b = make_slide(seed=3, spots=40, genes=12)
         ds1 = preprocess([train, test_a], hvg_num=6, train_ids=[train.slide_id])
         ds2 = preprocess([train, test_b], hvg_num=6, train_ids=[train.slide_id])
-        np.testing.assert_array_equal(ds1.hvg_indices, ds2.hvg_indices)
+        np.testing.assert_array_equal(ds1.manifest["hvg_indices"], ds2.manifest["hvg_indices"])
 
     def test_zero_count_spot_dropped_and_recorded(self):
         slide = make_slide(spots=8, genes=4)
