@@ -372,6 +372,11 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     config = resolve_config(args)
+    e = config["eval"]
+    if e["clusters"] is not None and e["clusters"] < 1:
+        raise ValidationError(f"config key eval.clusters={e['clusters']} must be null or at least 1")
+    if e["pca_components"] < 1:
+        raise ValidationError(f"config key eval.pca_components={e['pca_components']} must be at least 1")
     checkpoint = load_checkpoint(args.checkpoint)
     meta = json.loads((Path(args.pred) / "meta.json").read_text())
     pred = np.fromfile(Path(args.pred) / "expression.f32", dtype="<f4").reshape(
@@ -392,8 +397,7 @@ def cmd_eval(args) -> int:
         ev.write_metrics_tsv([record], staging / "metrics.tsv")
         ev.write_per_gene_tsv(record, staging / "per_gene.tsv")
         if slide.labels is not None:
-            e = config["eval"]
-            clusters = e["clusters"] or int(np.unique(slide.labels).size)
+            clusters = int(np.unique(slide.labels).size) if e["clusters"] is None else e["clusters"]
             labels = ev.detect_domains(pred, clusters, e["pca_components"], config["seed"])
             ev.write_labels_tsv(labels, staging / "labels.tsv", truth=slide.labels)
             summary["ari"] = ev.ari(labels, slide.labels)

@@ -100,9 +100,13 @@ def build_loss_graph(
     coords: np.ndarray,
     enc_cfg: enc.EncoderConfig,
     train_cfg: TrainConfig,
+    lowered: np.ndarray | None = None,
 ) -> Tensor:
-    """Full training graph: both encoders, similarity, symmetric cross-entropy."""
-    h_patch = enc.project(enc.encode_patch(patch_input, params, enc_cfg), params, "img_proj")
+    """Full training graph: both encoders, similarity, symmetric cross-entropy.
+
+    ``lowered`` is the patch batch's ``encoders.lower_patches`` rows, if already built.
+    """
+    h_patch = enc.project(enc.encode_patch(patch_input, params, enc_cfg, lowered), params, "img_proj")
     h_spot = enc.encode_spots(expression, coords, params, enc_cfg)
     sim = dc.matmul(h_patch, dc.transpose(h_spot))
     return _symmetric_ce(sim, 1.0 / train_cfg.temperature)
@@ -216,10 +220,8 @@ def _epoch_seed(seed: int, slide_index: int, epoch: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(slide_index, epoch)).generate_state(1)[0])
 
 
-def _slide_batch_inputs(slide: Slide, batch: np.ndarray, cfg: enc.EncoderConfig):
-    raw = slide.patches if slide.patches is not None else slide.features
-    patch_input = enc.prepare_patch_input(raw[batch], cfg)
-    return patch_input, slide.expression[batch], slide.coords[batch]
+def _raw_patches(slide: Slide) -> np.ndarray:
+    return slide.patches if slide.patches is not None else slide.features
 
 
 def fit(dataset: ProcessedDataset, train_cfg: TrainConfig, enc_cfg: enc.EncoderConfig) -> Checkpoint:
@@ -241,6 +243,8 @@ def fit(dataset: ProcessedDataset, train_cfg: TrainConfig, enc_cfg: enc.EncoderC
         raise ValueError(f"fit: batch_size={train_cfg.batch_size} exceeds spot count of {too_small}")
 
     params = enc.init_params(enc_cfg, train_cfg.seed)
+    # The patches are constant, so layer 0's im2col is built once per slide; each step gathers its rows.
+    lowered = [enc.lower_patches(_raw_patches(slide), enc_cfg) for slide in train_slides]
     moments1 = {n: np.zeros_like(t.data) for n, t in params.items()}
     moments2 = {n: np.zeros_like(t.data) for n, t in params.items()}
     step = 0
@@ -250,10 +254,12 @@ def fit(dataset: ProcessedDataset, train_cfg: TrainConfig, enc_cfg: enc.EncoderC
         epoch_losses: list[float] = []
         for slide_index, slide in enumerate(train_slides):
             for batch in batch_sampler(slide, train_cfg.batch_size, _epoch_seed(train_cfg.seed, slide_index, epoch)):
-                patch_input, expression, coords = _slide_batch_inputs(slide, batch, enc_cfg)
+                patch_input = enc.prepare_patch_input(_raw_patches(slide)[batch], enc_cfg)
+                expression, coords = slide.expression[batch], slide.coords[batch]
+                cols = None if lowered[slide_index] is None else lowered[slide_index][batch]
 
                 def graph(p, inputs):
-                    return build_loss_graph(p, inputs[0], inputs[1], coords, enc_cfg, train_cfg)
+                    return build_loss_graph(p, inputs[0], inputs[1], coords, enc_cfg, train_cfg, cols)
 
                 # A diverging step overflows; the loss check below reports it, not numpy warnings.
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 __all__ = [
@@ -213,14 +214,33 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     return _result(out, tensors, grad_fn, "concat")
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1, padding: int = 0) -> Tensor:
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """The im2col lowering of an [N, C, H, W] array: cols [N, Ho*Wo, kh*kw*C] in x's dtype.
+
+    x is padded once into a zeroed channels-last buffer [N, Hp, Wp, C]; one
+    strided copy of its read-only window view then writes every receptive
+    field as a row, in (kh, kw, C) order. ``conv2d`` checks the geometry.
+    """
+    n, c, h, wd = x.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=x.dtype)
+    xp[:, padding : padding + h, padding : padding + wd] = x.transpose(0, 2, 3, 1)
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]  # [N, Ho, Wo, C, kh, kw]
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, ho * wo, kh * kw * c)
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1, padding: int = 0,
+           cols: np.ndarray | None = None) -> Tensor:
     """2-D convolution (cross-correlation) over [N, C, H, W] with optional per-channel bias.
 
-    Lowered to im2col plus flat 2-D GEMMs (Chellapilla et al., 2006). The
-    input is padded once into a zeroed channels-last buffer [N, Hp, Wp, C],
-    and ``cols`` [N, Ho, Wo, kh, kw, C] is filled by kh*kw strided slice
-    copies from it, so each row of ``cols`` [N*Ho*Wo, K] is one receptive
-    field with K = kh*kw*C. The three products are each one GEMM:
+    Lowered to im2col plus flat 2-D GEMMs (Chellapilla et al., 2006). ``im2col``
+    pads the input once into a zeroed channels-last buffer and fills ``cols``
+    with one strided copy, so each row of ``cols`` [N*Ho*Wo, K] is one
+    receptive field with K = kh*kw*C. A caller that already holds the input's
+    lowering (a constant input seen again) passes it as ``cols``
+    [N, Ho*Wo, K]; it is checked against x and the kernel. The three products
+    are each one GEMM:
 
         out   = cols @ w_mat.T      [N*L, Cout], returned as contiguous NCHW
         dW    = g_flat.T @ cols     [Cout, K]
@@ -248,17 +268,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1, pa
     if ho < 1 or wo < 1:
         raise GraphError(f"conv2d: kernel {kh}x{kw} does not fit input {h}x{wd} (padding={padding})")
 
+    if cols is None:
+        cols = im2col(x.data, kh, kw, stride, padding)
+    elif cols.shape != (n, ho * wo, kh * kw * c_in) or cols.dtype != x.dtype:
+        raise GraphError(f"conv2d: cols {cols.shape} {cols.dtype} is not the lowering of input {x.shape} "
+                         f"{x.dtype} for a {kh}x{kw} kernel (stride={stride}, padding={padding})")
     parents = (x, w) if b is None else (x, w, b)
     dtype = np.result_type(*(t.data for t in parents))
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    xp = np.zeros((n, hp, wp, c_in), dtype=dtype)
-    xp[:, padding : padding + h, padding : padding + wd] = x.data.transpose(0, 2, 3, 1)
-    cols = np.empty((n, ho, wo, kh, kw, c_in), dtype=dtype)
-    windows = [(i, j, np.s_[:, i : i + stride * ho : stride, j : j + stride * wo : stride])
-               for i in range(kh) for j in range(kw)]
-    for i, j, window in windows:
-        cols[:, :, :, i, j] = xp[window]
-    cols = cols.reshape(n * ho * wo, kh * kw * c_in)
+    cols = cols.reshape(n * ho * wo, kh * kw * c_in).astype(dtype, copy=False)
     w_mat = w.data.transpose(0, 2, 3, 1).reshape(c_out, -1)
     out = cols @ w_mat.T  # [N*L, Cout]
     if b is not None:
@@ -271,9 +288,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1, pa
         dx = None
         if x.requires_grad:
             dcols = (g_flat @ w_mat).reshape(n, ho, wo, kh, kw, c_in)
-            dxp = np.zeros_like(xp)
-            for i, j, window in windows:
-                dxp[window] += dcols[:, :, :, i, j]
+            dxp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c_in), dtype=dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, :, :, i, j]
             dx = dxp[:, padding : padding + h, padding : padding + wd].transpose(0, 3, 1, 2)
         if b is None:
             return dx, dw
@@ -319,7 +337,7 @@ def mean(x: Tensor, axis=None) -> Tensor:
         g_exp = np.asarray(g)
         for a in sorted(axis):
             g_exp = np.expand_dims(g_exp, a)
-        return (np.broadcast_to(g_exp, x.shape).astype(x.data.dtype) / count,)
+        return (np.broadcast_to(g_exp.astype(x.data.dtype, copy=False) / count, x.shape),)
 
     return _result(out, (x,), grad_fn, "mean")
 
@@ -376,7 +394,11 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor) -> dict[int, np.ndarray]:
-    """Reverse-mode pass from a scalar root; returns gradients keyed by node id."""
+    """Reverse-mode pass from a scalar root; returns gradients keyed by node id.
+
+    A gradient may be a read-only view (``mean`` broadcasts its own), so
+    nothing writes into one: contributions are summed with ``+``, not ``+=``.
+    """
     if root.size != 1:
         raise GraphError(f"backward: root must be scalar, got shape {root.shape}")
     order = _topo_order(root)

@@ -20,6 +20,8 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import ParamSet, Tensor
 
+CONV_KERNEL, CONV_STRIDE, CONV_PADDING = 3, 2, 1  # every conv layer: 3x3 kernel, stride 2, padding 1
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -88,8 +90,8 @@ def init_params(cfg: EncoderConfig, seed: int) -> ParamSet:
     if cfg.input_kind == "pixels" and not cfg.image_identity:
         c_in = cfg.patch_shape[0]
         for i, c_out in enumerate(cfg.conv_channels):
-            fan = c_in * 3 * 3
-            ps.add(f"conv.{i}.w", _uniform(rng, fan, (c_out, c_in, 3, 3)))
+            fan = c_in * CONV_KERNEL * CONV_KERNEL
+            ps.add(f"conv.{i}.w", _uniform(rng, fan, (c_out, c_in, CONV_KERNEL, CONV_KERNEL)))
             ps.add(f"conv.{i}.b", np.zeros(c_out, dtype=np.float32))
             c_in = c_out
 
@@ -135,14 +137,26 @@ def prepare_patch_input(patches_or_features: np.ndarray, cfg: EncoderConfig) -> 
     return arr
 
 
-def encode_patch(patch_input: Tensor, params: ParamSet, cfg: EncoderConfig) -> Tensor:
-    """Patch pixels -> feature vector; precomputed features pass through unchanged."""
+def lower_patches(patches: np.ndarray, cfg: EncoderConfig) -> np.ndarray | None:
+    """Layer 0's im2col columns [N, Ho*Wo, K] of a patch array; None when no conv stack reads the input."""
+    if cfg.input_kind == "features" or cfg.image_identity:
+        return None
+    return dc.im2col(prepare_patch_input(patches, cfg), CONV_KERNEL, CONV_KERNEL, CONV_STRIDE, CONV_PADDING)
+
+
+def encode_patch(patch_input: Tensor, params: ParamSet, cfg: EncoderConfig,
+                 lowered: np.ndarray | None = None) -> Tensor:
+    """Patch pixels -> feature vector; precomputed features pass through unchanged.
+
+    ``lowered``, the input's ``lower_patches`` rows, spares layer 0 its im2col.
+    """
     if cfg.input_kind == "features" or cfg.image_identity:
         return patch_input  # identity
     x = patch_input
     pooled = []
     for i in range(len(cfg.conv_channels)):
-        x = dc.relu(dc.conv2d(x, params[f"conv.{i}.w"], params[f"conv.{i}.b"], stride=2, padding=1))
+        x = dc.relu(dc.conv2d(x, params[f"conv.{i}.w"], params[f"conv.{i}.b"], stride=CONV_STRIDE,
+                              padding=CONV_PADDING, cols=lowered if i == 0 else None))
         pooled.append(dc.mean(x, axis=(2, 3)))
     return dc.concat(pooled, axis=1)
 

@@ -423,6 +423,24 @@ class TestPreflight:
         assert ("preprocess reached" in err) == (rc == 2)
         assert not out.exists()
 
+    @pytest.mark.parametrize("assignment, key", [
+        ("eval.clusters=0", "eval.clusters"),
+        ("eval.clusters=-2", "eval.clusters"),
+        ("eval.pca_components=0", "eval.pca_components"),
+    ])
+    def test_eval_settings_checked_before_the_checkpoint_loads(self, pipeline, tmp_path, capsys, monkeypatch,
+                                                                assignment, key):
+        root, cfg = pipeline
+        monkeypatch.setattr(cli, "load_checkpoint", lambda *a: pytest.fail("checkpoint loaded before the check"))
+        monkeypatch.setattr(cli.ev, "compute_metrics", lambda *a, **k: pytest.fail("metrics computed"))
+        out = tmp_path / "ev"
+        assert main(["eval", "--config", str(cfg), "--set", assignment, "--pred", str(root / "pred"),
+                     "--slide", str(root / "data" / "slide_001"), "--checkpoint", str(root / "ck"),
+                     "--out", str(out)]) == 1
+        assert f"config key {key}" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.glob(".tmp-*"))
+
     @pytest.mark.parametrize("command", [
         ["loocv", "--set", "inference.k=0"],
         ["loocv", "--set", "inference.k=25"],  # each fold trains on the other slide's 24 spots

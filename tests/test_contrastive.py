@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from stexp import diffcore as dc
+from stexp import encoders as enc
 from stexp.contrastive import (
     Checkpoint,
     TrainConfig,
@@ -192,6 +193,61 @@ class TestFit:
         tcfg = TrainConfig(batch_size=64, epochs=1, seed=0)
         with pytest.raises(ValueError, match="batch_size"):
             fit(tiny_processed, tcfg, TINY_ENC)
+
+
+class TestLoweredPatches:
+    """fit lowers layer 0's constant input once per slide; the arithmetic stays bit for bit the same."""
+
+    def test_loss_graph_with_lowered_batch_is_bitwise_equal(self):
+        cfg = EncoderConfig(hvg_num=64, patch_shape=(3, 32, 32))  # the acceptance model
+        tcfg = TrainConfig(seed=3)
+        params = init_params(cfg, seed=3)
+        rng = np.random.default_rng(4)
+        patches = rng.random((tcfg.batch_size, 3, 32, 32), dtype=np.float32)
+        expr = rng.uniform(0.0, 4.0, (tcfg.batch_size, 64)).astype(np.float32)
+        coords = rng.integers(0, cfg.n_positions, (tcfg.batch_size, 2)).astype(np.uint32)
+        lowered = enc.lower_patches(patches, cfg)
+        results = []
+        for rows in (None, lowered):
+            def graph(p, inputs):
+                return build_loss_graph(p, inputs[0], inputs[1], coords, cfg, tcfg, rows)
+
+            results.append(dc.evaluate_with_gradients(graph, params, [patches, expr]))
+        (plain, plain_grads), (cached, cached_grads) = results
+        assert plain.data.tobytes() == cached.data.tobytes()
+        assert plain_grads.keys() == cached_grads.keys()
+        for name in plain_grads:
+            assert plain_grads[name].tobytes() == cached_grads[name].tobytes(), name
+
+    def test_fit_lowers_each_training_slide_once(self, tmp_path, monkeypatch):
+        gen = GenConfig(n_slides=2, spots_per_slide=32, gene_num=32, n_domains=4, patch_shape=(3, 16, 16))
+        synth_generate(gen, 12, tmp_path)
+        slides = load_dataset(tmp_path)
+        dataset = preprocess(slides, hvg_num=16, train_ids=[s.slide_id for s in slides])
+        cfg = EncoderConfig(hvg_num=16, d_embed=16, n_heads=4, conv_channels=(4, 8, 8),
+                            proj_hidden=16, patch_shape=(3, 16, 16))
+        calls = {"im2col": 0, "step": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(dc, "im2col", counted("im2col", dc.im2col))
+        monkeypatch.setattr(dc, "evaluate_with_gradients", counted("step", dc.evaluate_with_gradients))
+        fit(dataset, TrainConfig(batch_size=16, epochs=2, seed=1), cfg)
+        assert calls["step"] == 2 * 2 * 2  # epochs x slides x full batches of 16 in 32 spots
+        assert calls["im2col"] == len(slides) + (len(cfg.conv_channels) - 1) * calls["step"]
+
+    def test_fit_with_lowered_slides_is_bitwise_equal_to_fit_without(self, tiny_processed, monkeypatch):
+        tcfg = TrainConfig(batch_size=16, epochs=3, learning_rate=2e-3, temperature=0.05, seed=6)
+        cached = fit(tiny_processed, tcfg, TINY_ENC)
+        monkeypatch.setattr(enc, "lower_patches", lambda patches, cfg: None)
+        plain = fit(tiny_processed, tcfg, TINY_ENC)
+        assert cached.history == plain.history
+        for name, t in plain.params.items():
+            assert cached.params[name].data.tobytes() == t.data.tobytes(), name
 
 
 class TestCheckpointRoundTrip:

@@ -112,6 +112,72 @@ class TestForward:
         assert np.all(np.isfinite(y.data))
 
 
+def _im2col_reference(x, kh, kw, stride, padding):
+    """The lowering as kh*kw strided slice copies from a padded channels-last buffer."""
+    n, c, h, wd = x.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=x.dtype)
+    xp[:, padding : padding + h, padding : padding + wd] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((n, ho, wo, kh, kw, c), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, i, j] = xp[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    return cols.reshape(n, ho * wo, kh * kw * c)
+
+
+def _bits(a):
+    a = np.ascontiguousarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestLowering:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride,padding", CONV_GEOMETRIES)
+    def test_im2col_bitwise_equals_slice_copies(self, stride, padding, dtype):
+        x = _rng(50).standard_normal((2, 3, 5, 7)).astype(dtype)
+        got = dc.im2col(x, 2, 3, stride, padding)
+        assert got.flags.c_contiguous
+        assert _bits(got) == _bits(_im2col_reference(x, 2, 3, stride, padding))
+
+    @pytest.mark.parametrize("stride,padding", CONV_GEOMETRIES)
+    def test_conv2d_with_cols_bitwise_equals_without(self, stride, padding):
+        rng = _rng(51)
+        x = dc.constant(rng.standard_normal((2, 3, 5, 7)).astype(np.float32))
+        w = dc.Tensor(rng.standard_normal((4, 3, 2, 3)).astype(np.float32), requires_grad=True)
+        b = dc.Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
+        plain = dc.conv2d(x, w, b, stride=stride, padding=padding)
+        lowered = dc.conv2d(x, w, b, stride=stride, padding=padding, cols=dc.im2col(x.data, 2, 3, stride, padding))
+        assert lowered.parents == plain.parents
+        assert _bits(lowered.data) == _bits(plain.data)
+        g = rng.standard_normal(plain.shape).astype(np.float32)
+        for want, got in zip(plain.grad_fn(g), lowered.grad_fn(g)):
+            assert (want is None and got is None) or _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("cols_shape, dtype", [
+        ((1, 12, 18), np.float64), ((2, 6, 24), np.float64), ((24, 18), np.float64), ((2, 12, 17), np.float64),
+        ((2, 12, 18), np.float32),
+    ])
+    def test_conv2d_rejects_cols_that_are_not_the_lowering(self, cols_shape, dtype):
+        x = dc.constant(np.ones((2, 3, 5, 7)))
+        w = dc.constant(np.ones((4, 3, 2, 3)))
+        want = dc.im2col(x.data, 2, 3, 2, 1)  # the shape and dtype the cases differ from
+        assert (want.shape, want.dtype) == ((2, 12, 18), np.float64)
+        with pytest.raises(dc.GraphError, match="conv2d"):
+            dc.conv2d(x, w, stride=2, padding=1, cols=np.ones(cols_shape, dtype=dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mean_backward_is_a_view_with_the_materialized_bits(dtype):
+    x = dc.Tensor(_rng(52).standard_normal((64, 16, 16, 16)).astype(dtype), requires_grad=True)
+    out = dc.mean(x, axis=(2, 3))
+    g = _rng(53).standard_normal(out.shape).astype(dtype)
+    (got,) = out.grad_fn(g)
+    want = np.broadcast_to(g[:, :, None, None], x.shape).astype(dtype) / 256
+    assert not got.flags.writeable
+    assert _bits(got) == _bits(want)
+
+
 class TestShapeErrors:
     def test_matmul_mismatch_names_op(self):
         a = dc.constant(np.ones((2, 3)))
