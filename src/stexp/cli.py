@@ -44,8 +44,11 @@ from .data import (
     load_dataset,
     load_slide,
     preprocess,
+    read_blob,
+    read_json,
     synth_generate,
     transform_slide,
+    write_json,
 )
 from .encoders import EncoderConfig, init_params
 
@@ -257,7 +260,7 @@ def atomic_out_dir(out: str | Path):
 
 
 def _write_config_echo(directory: Path, config: dict) -> None:
-    (directory / "config.resolved.json").write_text(json.dumps(config, sort_keys=True, indent=1) + "\n")
+    write_json(directory / "config.resolved.json", config)
 
 
 def _strict_json(value):
@@ -364,7 +367,7 @@ def cmd_predict(args) -> int:
             "predicted": True,
             "k": k,
         }
-        (staging / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+        write_json(staging / "meta.json", meta)
         _write_config_echo(staging, config)
     print(f"predicted {slide.spot_num} spots x {pred.shape[1]} genes at {args.out}")
     return 0
@@ -378,12 +381,14 @@ def cmd_eval(args) -> int:
     if e["pca_components"] < 1:
         raise ValidationError(f"config key eval.pca_components={e['pca_components']} must be at least 1")
     checkpoint = load_checkpoint(args.checkpoint)
-    meta = json.loads((Path(args.pred) / "meta.json").read_text())
-    pred = np.fromfile(Path(args.pred) / "expression.f32", dtype="<f4").reshape(
-        meta["spot_num"], meta["gene_num"]
-    )
+    meta = read_json(Path(args.pred) / "meta.json")
+    pred = read_blob(Path(args.pred) / "expression.f32", "<f4", (meta["spot_num"], meta["gene_num"]))
     raw = load_slide(args.slide)
     slide = transform_slide(raw, checkpoint.manifest["preprocess"])
+    for key in ("slide_id", "gene_names"):
+        if meta[key] != getattr(slide, key):
+            raise ValidationError(f"eval: prediction {args.pred} has {key} {meta[key]!r}, "
+                                  f"--slide {args.slide} has {getattr(slide, key)!r}")
     if slide.spot_num != pred.shape[0] or slide.gene_num != pred.shape[1]:
         raise ValidationError(
             f"eval: prediction {pred.shape} does not match processed slide "
@@ -401,7 +406,7 @@ def cmd_eval(args) -> int:
             labels = ev.detect_domains(pred, clusters, e["pca_components"], config["seed"])
             ev.write_labels_tsv(labels, staging / "labels.tsv", truth=slide.labels)
             summary["ari"] = ev.ari(labels, slide.labels)
-        (staging / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1) + "\n")
+        write_json(staging / "summary.json", summary)
         _write_config_echo(staging, config)
     print(f"pcc_acg={record.pcc_acg:.4f} pcc_heg={record.pcc_heg:.4f} "
           f"mse={record.mse:.4f} mae={record.mae:.4f}"

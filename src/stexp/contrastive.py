@@ -10,7 +10,6 @@ the N^2 - N off-diagonal entries are the negatives.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import typing
 from dataclasses import asdict, dataclass, field, fields
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import encoders as enc
-from .data import ProcessedDataset, Slide, batch_sampler
+from .data import ProcessedDataset, Slide, batch_sampler, read_blob, read_json, write_json
 from .diffcore import ParamSet, Tensor
 
 log = logging.getLogger(__name__)
@@ -185,26 +184,22 @@ def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
     manifest["params"] = {"dtype": "<f4", "total_bytes": offset, "entries": entries}
     manifest["loss_history"] = list(ckpt.history)
     (directory / "params.f32").write_bytes(b"".join(chunks))
-    (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    write_json(directory / "manifest.json", manifest)
 
 
 def load_checkpoint(directory: str | Path) -> Checkpoint:
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    blob = (directory / "params.f32").read_bytes()
+    manifest = read_json(directory / "manifest.json")
     layout = manifest["params"]
-    if len(blob) != layout["total_bytes"]:
-        raise ValueError(f"checkpoint blob is {len(blob)} bytes, manifest declares {layout['total_bytes']}")
+    blob = read_blob(directory / "params.f32", "u1", (layout["total_bytes"],))
     params = ParamSet()
     expected_offset = 0
     for entry in layout["entries"]:
         if entry["offset"] != expected_offset:
             raise ValueError(f"checkpoint manifest offsets do not tile the blob at {entry['name']}")
-        arr = np.frombuffer(
-            blob, dtype=layout["dtype"], count=int(np.prod(entry["shape"])), offset=entry["offset"]
-        ).reshape(entry["shape"]).copy()
-        params.add(entry["name"], arr)
         expected_offset += entry["nbytes"]
+        arr = blob[entry["offset"] : expected_offset].view(layout["dtype"]).reshape(entry["shape"])
+        params.add(entry["name"], arr)
     if expected_offset != layout["total_bytes"]:
         raise ValueError("checkpoint manifest offsets do not tile the blob exactly")
     history = manifest.get("loss_history", [])

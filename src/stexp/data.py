@@ -10,8 +10,11 @@ On-disk layout, one directory per slide:
     features.f32     spot_num x feat_dim
     labels.u16       optional spot_num, little-endian uint16
 
-All shapes are authoritative from meta.json; blobs are validated against it
-on load and rejected (naming the offending field) on any mismatch or NaN.
+All shapes are authoritative from meta.json. Every artifact is read through
+read_blob and read_json, which reject a missing file, a blob whose byte size
+differs from its declared shape, or unparsable JSON, naming the file. NaN or
+Inf in any array and negative counts are rejected by Slide.validate, naming
+the field.
 """
 
 from __future__ import annotations
@@ -75,6 +78,8 @@ class Slide:
             raise DataFormatError(f"{self.slide_id}: gene_names length != gene_num")
         if not np.all(np.isfinite(self.expression)):
             raise DataFormatError(f"{self.slide_id}: expression contains NaN/Inf")
+        if np.any(self.expression < 0):
+            raise DataFormatError(f"{self.slide_id}: expression contains negative counts")
         if self.patches is not None:
             if self.patches.ndim != 4 or self.patches.shape[0] != n:
                 raise DataFormatError(f"{self.slide_id}: patches shape {self.patches.shape} inconsistent")
@@ -89,42 +94,53 @@ class Slide:
             raise DataFormatError(f"{self.slide_id}: labels shape {self.labels.shape} != ({n},)")
 
 
-def _read_blob(path: Path, dtype: str, shape: tuple[int, ...], name: str) -> np.ndarray:
-    if not path.exists():
-        raise DataFormatError(f"missing file: {path.name} ({name})")
-    raw = np.fromfile(path, dtype=np.dtype(dtype))
-    expected = int(np.prod(shape))
-    if raw.size != expected:
-        raise DataFormatError(f"{name}: blob holds {raw.size} values, meta declares {expected}")
-    arr = raw.reshape(shape)
-    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
-        raise DataFormatError(f"{name}: blob contains NaN/Inf")
-    return arr
+def read_blob(path: str | Path, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A blob as an array of `shape`, after checking that the file exists and holds exactly that many bytes."""
+    path, dtype = Path(path), np.dtype(dtype)
+    if not path.is_file():
+        raise DataFormatError(f"missing file: {path}")
+    size, expected = path.stat().st_size, int(np.prod(shape)) * dtype.itemsize
+    if size != expected:
+        raise DataFormatError(f"{path} is {size} bytes, but {list(shape)} {dtype.name} needs {expected}")
+    return np.fromfile(path, dtype=dtype).reshape(shape)
+
+
+def read_json(path: str | Path):
+    """A JSON file's value; a missing or unparsable file is a DataFormatError that names it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise DataFormatError(f"missing file: {path}") from None
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        raise DataFormatError(f"{path} is not valid JSON: {e}") from None
+
+
+def write_json(path: str | Path, value) -> None:
+    """Write `value` in the sorted, one-space-indented form of the .json artifacts, newline-terminated."""
+    Path(path).write_text(json.dumps(value, sort_keys=True, indent=1) + "\n")
 
 
 def load_slide(directory: str | Path) -> Slide:
     """Load and validate one slide directory; little-endian byte order enforced."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
-    if not meta_path.exists():
-        raise DataFormatError(f"missing file: meta.json in {directory}")
-    meta = json.loads(meta_path.read_text())
+    meta = read_json(meta_path)
     for key in ("slide_id", "spot_num", "gene_num", "gene_names", "coord_max"):
         if key not in meta:
-            raise DataFormatError(f"meta.json: missing key {key!r}")
+            raise DataFormatError(f"{meta_path}: missing key {key!r}")
     n, g = int(meta["spot_num"]), int(meta["gene_num"])
-    expression = _read_blob(directory / "expression.f32", "<f4", (n, g), "expression")
-    coords = _read_blob(directory / "coords.u32", "<u4", (n, 2), "coords")
+    expression = read_blob(directory / "expression.f32", "<f4", (n, g))
+    coords = read_blob(directory / "coords.u32", "<u4", (n, 2))
     patches = features = labels = None
     if "patch" in meta:
         p = meta["patch"]
-        patches = _read_blob(directory / "patches.f32", "<f4", (n, p["c"], p["h"], p["w"]), "patches")
+        patches = read_blob(directory / "patches.f32", "<f4", (n, p["c"], p["h"], p["w"]))
     elif "feat_dim" in meta:
-        features = _read_blob(directory / "features.f32", "<f4", (n, int(meta["feat_dim"])), "features")
+        features = read_blob(directory / "features.f32", "<f4", (n, int(meta["feat_dim"])))
     else:
-        raise DataFormatError("meta.json: neither patch nor feat_dim declared")
+        raise DataFormatError(f"{meta_path}: neither patch nor feat_dim declared")
     if meta.get("has_labels"):
-        labels = _read_blob(directory / "labels.u16", "<u2", (n,), "labels")
+        labels = read_blob(directory / "labels.u16", "<u2", (n,))
     return Slide(
         slide_id=str(meta["slide_id"]),
         expression=expression,
@@ -160,7 +176,7 @@ def save_slide(slide: Slide, directory: str | Path) -> None:
     slide.coords.astype("<u4").tofile(directory / "coords.u32")
     if slide.labels is not None:
         slide.labels.astype("<u2").tofile(directory / "labels.u16")
-    (directory / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    write_json(directory / "meta.json", meta)
 
 
 def load_dataset(root: str | Path) -> list[Slide]:
@@ -440,5 +456,5 @@ def synth_generate(config: GenConfig, seed: int, out_dir: str | Path) -> Path:
         "seed": seed,
         "config": asdict(config),
     }
-    (out_dir / "gen_manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    write_json(out_dir / "gen_manifest.json", manifest)
     return out_dir

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import encoders as enc
 from .contrastive import Checkpoint, _check_unit_rows
-from .data import Slide
+from .data import Slide, read_blob, read_json
 
 NEAR_ZERO_DISTANCE = 1e-8  # below this, the nearest neighbor is returned verbatim
 # Cap on one block's [rows x queries] score tile: 8,192 index rows at 128 queries.
@@ -211,21 +211,14 @@ def save_index(index: RetrievalIndex, directory: str | Path) -> None:
     (directory / "provenance.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
 
 
-def _read_blob(path: Path, rows: int, width: int) -> np.ndarray:
-    size = path.stat().st_size
-    if size != rows * width * 4:
-        raise ValueError(f"{path} is {size} bytes, provenance.json declares {rows} x {width} float32")
-    return np.fromfile(path, dtype="<f4").reshape(rows, width)
-
-
 def load_index(directory: str | Path) -> RetrievalIndex:
     directory = Path(directory)
-    meta = json.loads((directory / "provenance.json").read_text())
+    meta = read_json(directory / "provenance.json")
     n, d, g = meta["rows"], meta["d_embed"], meta["hvg_num"]
     if len(meta["entries"]) != n:
         raise ValueError(f"{directory / 'provenance.json'} lists {len(meta['entries'])} entries for {n} rows")
     return RetrievalIndex(
-        embeddings=_read_blob(directory / "embeddings.f32", n, d),
-        expressions=_read_blob(directory / "expressions.f32", n, g),
+        embeddings=read_blob(directory / "embeddings.f32", "<f4", (n, d)),
+        expressions=read_blob(directory / "expressions.f32", "<f4", (n, g)),
         provenance=[(str(sid), int(i)) for sid, i in meta["entries"]],
     )

@@ -184,6 +184,77 @@ class TestPipeline:
         summary = json.loads((root / "ev" / "summary.json").read_text())
         assert "ari" in summary and "pcc_acg" in summary
 
+    @pytest.mark.parametrize("case", ["other_slide", "other_gene_names"])
+    def test_eval_rejects_a_prediction_of_another_slide_or_panel(self, pipeline, tmp_path, capsys, case):
+        root, cfg = pipeline
+        pred, slide = root / "pred", "slide_001"
+        meta = json.loads((pred / "meta.json").read_text())
+        if case == "other_slide":  # the same shape and panel, scored against the wrong truth
+            slide, values = "slide_000", ("'slide_001'", "'slide_000'")
+        else:  # a prediction made under another gene selection
+            pred = tmp_path / "pred"
+            shutil.copytree(root / "pred", pred)
+            values = (repr(meta["gene_names"][::-1]), repr(meta["gene_names"]))
+            meta["gene_names"].reverse()
+            (pred / "meta.json").write_text(json.dumps(meta))
+        out = tmp_path / "ev"
+        assert main(["eval", "--config", str(cfg), "--pred", str(pred), "--slide", str(root / "data" / slide),
+                     "--checkpoint", str(root / "ck"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert all(value in err for value in values), err
+        assert not out.exists()
+        assert not list(tmp_path.glob(".tmp-*"))
+
+
+def _truncate(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+def _cut_in_half(path: Path) -> None:
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+# (artifact under the pipeline root, corruption)
+ARTIFACT_CORRUPTIONS = [
+    ("ck/manifest.json", Path.unlink),
+    ("ck/params.f32", Path.unlink),
+    ("idx/provenance.json", Path.unlink),
+    ("idx/embeddings.f32", Path.unlink),
+    ("pred/meta.json", Path.unlink),
+    ("ck/params.f32", _truncate),
+    ("idx/expressions.f32", _truncate),
+    ("pred/expression.f32", _truncate),
+    ("ck/manifest.json", _cut_in_half),
+]
+# the artifact directories each command reads
+COMMAND_READS = {"embed": ("ck",), "predict": ("ck", "idx"), "eval": ("ck", "pred")}
+
+
+class TestArtifactCorruption:
+    @pytest.mark.parametrize("command, artifact, corrupt", [
+        pytest.param(command, artifact, corrupt, id=f"{command}-{artifact}-{corrupt.__name__.strip('_')}")
+        for command, reads in COMMAND_READS.items()
+        for artifact, corrupt in ARTIFACT_CORRUPTIONS
+        if artifact.split("/")[0] in reads
+    ])
+    def test_exits_1_naming_the_file(self, pipeline, tmp_path, capsys, command, artifact, corrupt):
+        root, cfg = pipeline
+        for name in ("ck", "idx", "pred"):
+            shutil.copytree(root / name, tmp_path / name)
+        corrupt(tmp_path / artifact)
+        slide = str(root / "data" / "slide_001")
+        args = {
+            "embed": ["--checkpoint", str(tmp_path / "ck"), "--data", str(root / "data")],
+            "predict": ["--checkpoint", str(tmp_path / "ck"), "--index", str(tmp_path / "idx"), "--slide", slide],
+            "eval": ["--pred", str(tmp_path / "pred"), "--slide", slide, "--checkpoint", str(tmp_path / "ck")],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), *args, "--out", str(out)]) == 1
+        assert str(tmp_path / artifact) in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.glob(".tmp-*"))
+
 
 class TestLoocv:
     def test_rows_and_reproducibility(self, tmp_path):

@@ -1,5 +1,6 @@
 """Dataset format round-trips, preprocessing arithmetic, generator properties."""
 
+import ast
 import json
 from pathlib import Path
 
@@ -100,6 +101,15 @@ class TestSlideFormat:
         bad[0, 0] = np.nan
         bad.astype("<f4").tofile(tmp_path / "s" / "expression.f32")
         with pytest.raises(DataFormatError, match="expression"):
+            load_slide(tmp_path / "s")
+
+    def test_negative_count_rejected(self, tmp_path):
+        slide = make_slide()
+        save_slide(slide, tmp_path / "s")
+        bad = slide.expression.copy()
+        bad[0, 0] = -0.01  # log1p of it is finite, so only a check on the raw counts sees it
+        bad.astype("<f4").tofile(tmp_path / "s" / "expression.f32")
+        with pytest.raises(DataFormatError, match="s0: expression contains negative counts"):
             load_slide(tmp_path / "s")
 
     def test_both_patch_kinds_rejected(self):
@@ -264,3 +274,29 @@ class TestPlantedSignalOracle:
         slides = load_dataset(tmp_path / "s0")
         r = conftest.ridge_pixel_decoder_pcc(slides)
         assert abs(r) < 0.1, f"ridge mean PCC {r:.4f} not ~0 at signal=0"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "stexp"
+
+
+def _owners(text: str) -> list[tuple[str, str | None]]:
+    """(module, innermost enclosing function) of every src/stexp line that contains `text`."""
+    owners = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        funcs = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef)]
+        for lineno, line in enumerate(source.splitlines(), 1):
+            if text in line:
+                around = [f for f in funcs if f.lineno <= lineno <= f.end_lineno]
+                owners.append((path.stem, min(around, key=lambda f: f.end_lineno - f.lineno).name if around else None))
+    return owners
+
+
+def test_every_artifact_goes_through_one_reader():
+    assert _owners("np.fromfile") == [("data", "read_blob")]
+    assert _owners("np.frombuffer") == []
+    assert _owners(".read_bytes(") == []
+    # besides read_json, only the --config file and --set values are parsed
+    assert _owners("json.loads(") == [("cli", "resolve_config"), ("cli", "resolve_config"), ("data", "read_json")]
+    # besides write_json, only the divergence snapshot, whose writer is strict JSON
+    assert _owners("indent=1") == [("cli", "_write_divergence_snapshot"), ("data", "write_json")]
