@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation/configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import json
 import logging
@@ -54,11 +53,11 @@ from .encoders import EncoderConfig, init_params
 
 log = logging.getLogger(__name__)
 
-# {ablation toggle: (the encoder key it sets, the value it sets)}
+# {ablation toggle: the EncoderConfig fields it replaces}
 ABLATION_TOGGLES = {
-    "no_positional_encoding": ("use_positional", False),
-    "no_mhsa": ("use_mhsa", False),
-    "no_image_path": ("image_identity", True),
+    "no_positional_encoding": {"use_positional": False},
+    "no_mhsa": {"use_mhsa": False},
+    "no_image_path": {"image_identity": True},
 }
 
 
@@ -322,22 +321,17 @@ def cmd_train(args) -> int:
         ]
         (staging / "loss_curve.tsv").write_text("\n".join(curve) + "\n")
         _write_config_echo(staging, config)
-    print(f"trained {checkpoint.manifest['epochs_completed']} epochs, final loss "
-          f"{checkpoint.manifest['final_loss']:.6f}; checkpoint at {args.out}")
+    print(f"trained {checkpoint.train_config.epochs} epochs, final loss "
+          f"{checkpoint.history[-1]:.6f}; checkpoint at {args.out}")
     return 0
-
-
-def _transformed_slides(checkpoint, slides):
-    manifest = checkpoint.manifest["preprocess"]
-    return [transform_slide(s, manifest) for s in slides]
 
 
 def cmd_embed(args) -> int:
     config = resolve_config(args)
     checkpoint = load_checkpoint(args.checkpoint)
     slides = load_dataset(args.data)
-    train_ids = set(checkpoint.manifest["preprocess"]["train_ids"])
-    train_slides = [s for s in _transformed_slides(checkpoint, slides) if s.slide_id in train_ids]
+    train_ids = set(checkpoint.preprocess["train_ids"])
+    train_slides = [transform_slide(s, checkpoint.preprocess) for s in slides if s.slide_id in train_ids]
     if not train_slides:
         raise ValidationError("embed: none of the checkpoint's training slides are in --data")
     index = inference.build_index(checkpoint, train_slides)
@@ -353,7 +347,7 @@ def cmd_predict(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     index = inference.load_index(args.index)
     raw = load_slide(args.slide)
-    slide = transform_slide(raw, checkpoint.manifest["preprocess"])
+    slide = transform_slide(raw, checkpoint.preprocess)
     k = config["inference"]["k"]
     pred = inference.predict_slide(checkpoint, index, slide, k)
     with atomic_out_dir(args.out) as staging:
@@ -381,10 +375,10 @@ def cmd_eval(args) -> int:
     if e["pca_components"] < 1:
         raise ValidationError(f"config key eval.pca_components={e['pca_components']} must be at least 1")
     checkpoint = load_checkpoint(args.checkpoint)
-    meta = read_json(Path(args.pred) / "meta.json")
+    meta = read_json(Path(args.pred) / "meta.json", required=("slide_id", "spot_num", "gene_num", "gene_names"))
     pred = read_blob(Path(args.pred) / "expression.f32", "<f4", (meta["spot_num"], meta["gene_num"]))
     raw = load_slide(args.slide)
-    slide = transform_slide(raw, checkpoint.manifest["preprocess"])
+    slide = transform_slide(raw, checkpoint.preprocess)
     for key in ("slide_id", "gene_names"):
         if meta[key] != getattr(slide, key):
             raise ValidationError(f"eval: prediction {args.pred} has {key} {meta[key]!r}, "
@@ -414,20 +408,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _run_loocv(config: dict, train_cfg: TrainConfig, slides) -> list[ev.MetricsRecord]:
-    return ev.loocv(
-        slides,
-        hvg_num=config["data"]["hvg_num"],
-        train_cfg=train_cfg,
-        enc_cfg=_encoder_config(config, slides),
-        k=config["inference"]["k"],
-    )
-
-
 def cmd_loocv(args) -> int:
     config = resolve_config(args)
     train_cfg = config_object(config, TrainConfig, seed=config["seed"])
-    records = _run_loocv(config, train_cfg, load_dataset(args.data))
+    slides = load_dataset(args.data)
+    records = ev.loocv(slides, hvg_num=config["data"]["hvg_num"], train_cfg=train_cfg,
+                       enc_cfg=_encoder_config(config, slides), k=config["inference"]["k"])
     with atomic_out_dir(args.out) as staging:
         ev.write_metrics_tsv(records, staging / "metrics.tsv")
         for record in records[:-1]:
@@ -439,39 +425,45 @@ def cmd_loocv(args) -> int:
     return 0
 
 
-def _variant_config(config: dict, toggle: str | None = None, k: int | None = None) -> dict:
-    variant = copy.deepcopy(config)
-    if toggle is not None:
-        key, value = ABLATION_TOGGLES[toggle]
-        variant["encoder"][key] = value
-    if k is not None:
-        variant["inference"]["k"] = k
-    return variant
+def _flag_values(flag: str, raw: str | None, parse) -> list:
+    """The comma-separated values of `flag`, each through `parse`; a malformed or repeated one exits 1."""
+    values = []
+    for item in raw.split(",") if raw else []:
+        try:
+            value = parse(item)
+        except ValueError:
+            raise ValidationError(f"{flag}: invalid value {item!r} in {raw!r}") from None
+        if value in values:
+            raise ValidationError(f"{flag}: value {item!r} repeated in {raw!r}")
+        values.append(value)
+    return values
 
 
 def cmd_ablate(args) -> int:
     config = resolve_config(args)
-    toggles = [t for t in (args.toggles.split(",") if args.toggles else []) if t]
-    k_values = [int(x) for x in args.k_sweep.split(",")] if args.k_sweep else []
+    toggles = _flag_values("--toggles", args.toggles, str)
+    k_values = _flag_values("--k-sweep", args.k_sweep, int)
     if not toggles and not k_values:
         raise ValidationError("ablate: empty toggle set (pass --toggles and/or --k-sweep)")
     for toggle in toggles:
         if toggle not in ABLATION_TOGGLES:
-            raise ValidationError(f"unknown ablation toggle {toggle!r} (choose from {tuple(ABLATION_TOGGLES)})")
+            raise ValidationError(f"--toggles: unknown toggle {toggle!r} (choose from {tuple(ABLATION_TOGGLES)})")
     train_cfg = config_object(config, TrainConfig, seed=config["seed"])
     slides = load_dataset(args.data)
-    for k in k_values:  # before the full variant trains
-        ev.check_loocv_k(slides, k)
+    for k_value in k_values:  # before the full variant trains
+        ev.check_loocv_k(slides, k_value)
 
-    variants: list[tuple[str, dict]] = [("full", config)]
-    variants += [(toggle, _variant_config(config, toggle=toggle)) for toggle in toggles]
-    variants += [(f"k={k}", _variant_config(config, k=k)) for k in k_values]
+    enc_cfg, k = _encoder_config(config, slides), config["inference"]["k"]
+    variants = [("full", enc_cfg, k)]
+    variants += [(toggle, dataclasses.replace(enc_cfg, **ABLATION_TOGGLES[toggle]), k) for toggle in toggles]
+    variants += [(f"k={k_value}", enc_cfg, k_value) for k_value in k_values]
 
     rows = []
-    for name, variant in variants:
+    for name, variant_cfg, variant_k in variants:
         log.info("ablation variant %s", name)
-        mean = _run_loocv(variant, train_cfg, slides)[-1]
-        rows.append((name, mean))
+        records = ev.loocv(slides, hvg_num=config["data"]["hvg_num"], train_cfg=train_cfg,
+                           enc_cfg=variant_cfg, k=variant_k)
+        rows.append((name, records[-1]))
     with atomic_out_dir(args.out) as staging:
         lines = ["variant\tpcc_acg\tpcc_heg\tmse\tmae"]
         for name, m in rows:

@@ -12,14 +12,14 @@ from __future__ import annotations
 import functools
 import logging
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import diffcore as dc
 from . import encoders as enc
-from .data import ProcessedDataset, Slide, batch_sampler, read_blob, read_json, write_json
+from .data import ProcessedDataset, batch_sampler, read_blob, read_json, write_json
 from .diffcore import ParamSet, Tensor
 
 log = logging.getLogger(__name__)
@@ -156,16 +156,10 @@ def _manifest_config(cls, manifest: dict, section: str):
 @dataclass
 class Checkpoint:
     params: ParamSet
-    manifest: dict
-    history: list[float] = field(default_factory=list)
-
-    @property
-    def encoder_config(self) -> enc.EncoderConfig:
-        return _manifest_config(enc.EncoderConfig, self.manifest, "encoder")
-
-    @property
-    def train_config(self) -> TrainConfig:
-        return _manifest_config(TrainConfig, self.manifest, "train")
+    encoder_config: enc.EncoderConfig
+    train_config: TrainConfig
+    preprocess: dict  # the training data's preprocessing manifest, as transform_slide takes it
+    history: list[float]  # mean loss per epoch
 
 
 def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
@@ -180,16 +174,25 @@ def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes})
         chunks.append(arr.tobytes())
         offset += arr.nbytes
-    manifest = dict(ckpt.manifest)
-    manifest["params"] = {"dtype": "<f4", "total_bytes": offset, "entries": entries}
-    manifest["loss_history"] = list(ckpt.history)
+    manifest = {
+        "encoder": asdict(ckpt.encoder_config),
+        "train": asdict(ckpt.train_config),
+        "preprocess": ckpt.preprocess,
+        "seed": ckpt.train_config.seed,
+        "epochs_completed": ckpt.train_config.epochs,
+        "final_loss": ckpt.history[-1],
+        "params": {"dtype": "<f4", "total_bytes": offset, "entries": entries},
+        "loss_history": ckpt.history,
+    }
     (directory / "params.f32").write_bytes(b"".join(chunks))
     write_json(directory / "manifest.json", manifest)
 
 
 def load_checkpoint(directory: str | Path) -> Checkpoint:
     directory = Path(directory)
-    manifest = read_json(directory / "manifest.json")
+    manifest = read_json(directory / "manifest.json", required=("encoder", "train", "preprocess", "params"))
+    enc_cfg = _manifest_config(enc.EncoderConfig, manifest, "encoder")
+    train_cfg = _manifest_config(TrainConfig, manifest, "train")
     layout = manifest["params"]
     blob = read_blob(directory / "params.f32", "u1", (layout["total_bytes"],))
     params = ParamSet()
@@ -202,8 +205,7 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
         params.add(entry["name"], arr)
     if expected_offset != layout["total_bytes"]:
         raise ValueError("checkpoint manifest offsets do not tile the blob exactly")
-    history = manifest.get("loss_history", [])
-    return Checkpoint(params=params, manifest=manifest, history=history)
+    return Checkpoint(params, enc_cfg, train_cfg, manifest["preprocess"], manifest.get("loss_history", []))
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +215,6 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
 
 def _epoch_seed(seed: int, slide_index: int, epoch: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(slide_index, epoch)).generate_state(1)[0])
-
-
-def _raw_patches(slide: Slide) -> np.ndarray:
-    return slide.patches if slide.patches is not None else slide.features
 
 
 def fit(dataset: ProcessedDataset, train_cfg: TrainConfig, enc_cfg: enc.EncoderConfig) -> Checkpoint:
@@ -239,7 +237,7 @@ def fit(dataset: ProcessedDataset, train_cfg: TrainConfig, enc_cfg: enc.EncoderC
 
     params = enc.init_params(enc_cfg, train_cfg.seed)
     # The patches are constant, so layer 0's im2col is built once per slide; each step gathers its rows.
-    lowered = [enc.lower_patches(_raw_patches(slide), enc_cfg) for slide in train_slides]
+    lowered = [enc.lower_patches(slide.image_input, enc_cfg) for slide in train_slides]
     moments1 = {n: np.zeros_like(t.data) for n, t in params.items()}
     moments2 = {n: np.zeros_like(t.data) for n, t in params.items()}
     step = 0
@@ -249,7 +247,7 @@ def fit(dataset: ProcessedDataset, train_cfg: TrainConfig, enc_cfg: enc.EncoderC
         epoch_losses: list[float] = []
         for slide_index, slide in enumerate(train_slides):
             for batch in batch_sampler(slide, train_cfg.batch_size, _epoch_seed(train_cfg.seed, slide_index, epoch)):
-                patch_input = enc.prepare_patch_input(_raw_patches(slide)[batch], enc_cfg)
+                patch_input = enc.prepare_patch_input(slide.image_input[batch], enc_cfg)
                 expression, coords = slide.expression[batch], slide.coords[batch]
                 cols = None if lowered[slide_index] is None else lowered[slide_index][batch]
 
@@ -286,12 +284,4 @@ def fit(dataset: ProcessedDataset, train_cfg: TrainConfig, enc_cfg: enc.EncoderC
         history.append(mean_loss)
         log.info("epoch %d/%d mean loss %.6f", epoch + 1, train_cfg.epochs, mean_loss)
 
-    manifest = {
-        "encoder": asdict(enc_cfg),
-        "train": asdict(train_cfg),
-        "preprocess": dataset.manifest,
-        "seed": train_cfg.seed,
-        "epochs_completed": train_cfg.epochs,
-        "final_loss": history[-1],
-    }
-    return Checkpoint(params=params, manifest=manifest, history=history)
+    return Checkpoint(params, enc_cfg, train_cfg, dataset.manifest, history)

@@ -12,9 +12,9 @@ On-disk layout, one directory per slide:
 
 All shapes are authoritative from meta.json. Every artifact is read through
 read_blob and read_json, which reject a missing file, a blob whose byte size
-differs from its declared shape, or unparsable JSON, naming the file. NaN or
-Inf in any array and negative counts are rejected by Slide.validate, naming
-the field.
+differs from its declared shape, unparsable JSON, or JSON without a key its
+reader requires, naming the file. NaN or Inf in any array and negative
+counts are rejected by Slide.validate, naming the field.
 """
 
 from __future__ import annotations
@@ -64,6 +64,11 @@ class Slide:
     def gene_num(self) -> int:
         return self.expression.shape[1]
 
+    @property
+    def image_input(self) -> np.ndarray:
+        """The patches, or the precomputed features of a slide without them."""
+        return self.patches if self.patches is not None else self.features
+
     def validate(self) -> None:
         if self.expression.ndim != 2 or self.expression.shape[0] < 1:
             raise DataFormatError(f"{self.slide_id}: expression must be [spot_num >= 1, gene_num]")
@@ -105,14 +110,18 @@ def read_blob(path: str | Path, dtype: str, shape: tuple[int, ...]) -> np.ndarra
     return np.fromfile(path, dtype=dtype).reshape(shape)
 
 
-def read_json(path: str | Path):
-    """A JSON file's value; a missing or unparsable file is a DataFormatError that names it."""
+def read_json(path: str | Path, required: tuple[str, ...] = ()):
+    """A JSON file's value; a missing or unparsable file or `required` key is a DataFormatError that names the file."""
     try:
-        return json.loads(Path(path).read_text())
+        value = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise DataFormatError(f"missing file: {path}") from None
     except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
         raise DataFormatError(f"{path} is not valid JSON: {e}") from None
+    for key in required:
+        if not isinstance(value, dict) or key not in value:
+            raise DataFormatError(f"{path}: missing key {key!r}")
+    return value
 
 
 def write_json(path: str | Path, value) -> None:
@@ -124,10 +133,7 @@ def load_slide(directory: str | Path) -> Slide:
     """Load and validate one slide directory; little-endian byte order enforced."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
-    meta = read_json(meta_path)
-    for key in ("slide_id", "spot_num", "gene_num", "gene_names", "coord_max"):
-        if key not in meta:
-            raise DataFormatError(f"{meta_path}: missing key {key!r}")
+    meta = read_json(meta_path, required=("slide_id", "spot_num", "gene_num", "gene_names", "coord_max"))
     n, g = int(meta["spot_num"]), int(meta["gene_num"])
     expression = read_blob(directory / "expression.f32", "<f4", (n, g))
     coords = read_blob(directory / "coords.u32", "<u4", (n, 2))

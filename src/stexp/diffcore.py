@@ -325,9 +325,7 @@ def gelu(x: Tensor) -> Tensor:
     return _result(xd * cdf, (x,), grad_fn, "gelu")
 
 
-def mean(x: Tensor, axis=None) -> Tensor:
-    if axis is not None and not isinstance(axis, tuple):
-        axis = (axis,)
+def mean(x: Tensor, axis: tuple[int, ...] | None = None) -> Tensor:
     out = np.mean(x.data, axis=axis)
     count = x.size if axis is None else int(np.prod([x.shape[a] for a in axis]))
 

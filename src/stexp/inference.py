@@ -69,7 +69,7 @@ def encode_slide_spots(slide: Slide, checkpoint: Checkpoint) -> np.ndarray:
 def encode_slide_patches(slide: Slide, checkpoint: Checkpoint) -> np.ndarray:
     """Embed every spot's patch (or precomputed features), batched the way training batches were sized."""
     cfg = checkpoint.encoder_config
-    raw = slide.patches if slide.patches is not None else slide.features
+    raw = slide.image_input
     return _embed_batches(slide.spot_num, checkpoint, lambda rows: enc.embed_patches(raw[rows], checkpoint.params, cfg))
 
 
@@ -213,7 +213,7 @@ def save_index(index: RetrievalIndex, directory: str | Path) -> None:
 
 def load_index(directory: str | Path) -> RetrievalIndex:
     directory = Path(directory)
-    meta = read_json(directory / "provenance.json")
+    meta = read_json(directory / "provenance.json", required=("rows", "d_embed", "hvg_num", "entries"))
     n, d, g = meta["rows"], meta["d_embed"], meta["hvg_num"]
     if len(meta["entries"]) != n:
         raise ValueError(f"{directory / 'provenance.json'} lists {len(meta['entries'])} entries for {n} rows")

@@ -7,6 +7,7 @@ import shutil
 import warnings
 from argparse import Namespace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -215,6 +216,16 @@ def _cut_in_half(path: Path) -> None:
     path.write_text(text[: len(text) // 2])
 
 
+def _without(key: str):
+    def drop(path: Path) -> None:
+        value = json.loads(path.read_text())
+        del value[key]
+        path.write_text(json.dumps(value))
+
+    drop.__name__ = f"without_{key}"
+    return drop
+
+
 # (artifact under the pipeline root, corruption)
 ARTIFACT_CORRUPTIONS = [
     ("ck/manifest.json", Path.unlink),
@@ -226,6 +237,10 @@ ARTIFACT_CORRUPTIONS = [
     ("idx/expressions.f32", _truncate),
     ("pred/expression.f32", _truncate),
     ("ck/manifest.json", _cut_in_half),
+    ("ck/manifest.json", _without("params")),
+    ("ck/manifest.json", _without("preprocess")),
+    ("idx/provenance.json", _without("entries")),
+    ("pred/meta.json", _without("slide_id")),
 ]
 # the artifact directories each command reads
 COMMAND_READS = {"embed": ("ck",), "predict": ("ck", "idx"), "eval": ("ck", "pred")}
@@ -293,6 +308,42 @@ class TestAblate:
         rc = main(["ablate", "--config", str(cfg), "--data", str(tmp_path / "d"),
                    "--out", str(tmp_path / "ab")])
         assert rc == 1
+
+    @pytest.mark.parametrize("flags, value", [
+        (["--k-sweep", "1,,5"], "''"),
+        (["--k-sweep", "x"], "'x'"),
+        (["--k-sweep", "5,5"], "'5'"),
+        (["--k-sweep", "5,05"], "'05'"),
+        (["--toggles", "no_mhsa,no_mhsa"], "'no_mhsa'"),
+        (["--toggles", "no_mhsa,"], "''"),
+    ])
+    def test_malformed_or_repeated_value_rejected_before_data_loads(self, tmp_path, capsys, monkeypatch,
+                                                                    flags, value):
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("data loaded before the check"))
+        out = tmp_path / "ab"
+        assert main(["ablate", "--data", str(tmp_path / "d"), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert flags[0] in err and value in err, err
+        assert not out.exists()
+
+    def test_each_variant_changes_only_its_setting(self, pipeline, tmp_path, monkeypatch):
+        root, cfg = pipeline
+        calls = []
+
+        def loocv(slides, **kwargs):
+            calls.append(kwargs)
+            return [SimpleNamespace(pcc_acg=0.0, pcc_heg=0.0, mse=0.0, mae=0.0)]
+
+        monkeypatch.setattr(cli.ev, "loocv", loocv)
+        assert main(["ablate", "--config", str(cfg), "--data", str(root / "data"),
+                     "--toggles", "no_positional_encoding,no_mhsa,no_image_path", "--k-sweep", "1,5",
+                     "--out", str(tmp_path / "ab")]) == 0
+        full = calls[0]
+        assert full["k"] == 5 and all(call["train_cfg"] == full["train_cfg"] for call in calls)
+        for call, changes in zip(calls[1:4], cli.ABLATION_TOGGLES.values()):
+            assert call["enc_cfg"] == dataclasses.replace(full["enc_cfg"], **changes) != full["enc_cfg"]
+            assert call["k"] == 5
+        assert [(call["enc_cfg"], call["k"]) for call in calls[4:]] == [(full["enc_cfg"], 1), (full["enc_cfg"], 5)]
 
     def test_unknown_toggle_rejected(self, tmp_path):
         cfg = micro_config(tmp_path)

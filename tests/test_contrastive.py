@@ -10,7 +10,6 @@ import pytest
 from stexp import diffcore as dc
 from stexp import encoders as enc
 from stexp.contrastive import (
-    Checkpoint,
     TrainConfig,
     TrainingDiverged,
     build_loss_graph,
@@ -288,7 +287,7 @@ class TestCheckpointRoundTrip:
         assert back.encoder_config == TINY_ENC  # tuple fields come back as tuples
         assert back.train_config == tcfg
 
-    def test_earlier_manifest_still_loads(self):
+    def test_earlier_manifest_still_loads(self, tmp_path):
         # the "encoder" and "train" sections exactly as an earlier release wrote them
         # (stexp train on the tests/test_cli.py micro config, --seed 7)
         written = json.loads(
@@ -302,7 +301,7 @@ class TestCheckpointRoundTrip:
         enc_cfg = EncoderConfig(hvg_num=8, d_embed=16, n_heads=2, conv_channels=(6,),
                                 proj_hidden=16, patch_shape=(3, 8, 8))
         tcfg = TrainConfig(batch_size=8, epochs=3, learning_rate=2e-3, temperature=0.1, seed=7)
-        ckpt = Checkpoint(params=dc.ParamSet(), manifest=written)
+        ckpt = load_checkpoint(_write_checkpoint_dir(tmp_path / "ck", written))
         assert ckpt.encoder_config == enc_cfg
         assert ckpt.train_config == tcfg
         # and the manifest written today has the same sections, key for key, minus the retired ones
@@ -310,3 +309,45 @@ class TestCheckpointRoundTrip:
         earlier = {section: {k: v for k, v in values.items() if k not in retired[section]}
                    for section, values in written.items()}
         assert json.loads(json.dumps({"encoder": asdict(enc_cfg), "train": asdict(tcfg)})) == earlier
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("encoder", "attn_residual", False),
+        ("train", "learn_temperature", True),
+        ("train", "epsilon", 1e-6),
+    ])
+    def test_retired_field_at_another_value_fails_when_the_checkpoint_loads(self, tiny_processed, tmp_path,
+                                                                           section, field, value):
+        tcfg = TrainConfig(batch_size=16, epochs=1, temperature=0.05, seed=9)
+        save_checkpoint(fit(tiny_processed, tcfg, TINY_ENC), tmp_path / "ck")
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        manifest[section][field] = value
+        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"{section}.{field}={value!r} is no longer supported"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_manifest_records_the_run(self, tiny_processed, tmp_path):
+        tcfg = TrainConfig(batch_size=16, epochs=2, temperature=0.05, seed=9)
+        ckpt = fit(tiny_processed, tcfg, TINY_ENC)
+        save_checkpoint(ckpt, tmp_path / "ck")
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        assert set(manifest) == {"encoder", "train", "preprocess", "seed", "epochs_completed", "final_loss",
+                                 "params", "loss_history"}
+        assert (manifest["seed"], manifest["epochs_completed"]) == (9, 2)
+        assert manifest["loss_history"] == ckpt.history and manifest["final_loss"] == ckpt.history[-1]
+        assert manifest["preprocess"] == json.loads(json.dumps(tiny_processed.manifest))
+
+    def test_fit_holds_the_configs_it_was_given(self, tiny_processed):
+        tcfg = TrainConfig(batch_size=16, epochs=2, temperature=0.05, seed=9)
+        ckpt = fit(tiny_processed, tcfg, TINY_ENC)
+        assert ckpt.encoder_config is TINY_ENC and ckpt.train_config is tcfg
+        assert ckpt.preprocess is tiny_processed.manifest
+        assert not hasattr(ckpt, "manifest")
+
+
+def _write_checkpoint_dir(directory, sections: dict):
+    """A parameterless checkpoint directory whose manifest holds `sections`; returns the directory."""
+    directory.mkdir()
+    manifest = {**sections, "preprocess": {}, "params": {"dtype": "<f4", "total_bytes": 0, "entries": []}}
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    (directory / "params.f32").write_bytes(b"")
+    return directory

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from stexp.data import (
     load_dataset,
     load_slide,
     preprocess,
+    read_json,
     save_slide,
     synth_generate,
     transform_slide,
@@ -300,3 +302,22 @@ def test_every_artifact_goes_through_one_reader():
     assert _owners("json.loads(") == [("cli", "resolve_config"), ("cli", "resolve_config"), ("data", "read_json")]
     # besides write_json, only the divergence snapshot, whose writer is strict JSON
     assert _owners("indent=1") == [("cli", "_write_divergence_snapshot"), ("data", "write_json")]
+
+
+def test_read_json_names_the_file_and_a_missing_required_key(tmp_path):
+    path = tmp_path / "meta.json"
+    path.write_text(json.dumps({"rows": 3}))
+    assert read_json(path, required=("rows",)) == {"rows": 3}
+    with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: missing key 'entries'"):
+        read_json(path, required=("rows", "entries"))
+    path.write_text("[]")  # parses, but holds no object to look a key up in
+    with pytest.raises(DataFormatError, match="missing key 'rows'"):
+        read_json(path, required=("rows",))
+
+
+def test_checkpoint_settings_are_parsed_once_when_it_loads():
+    # the definition, then the encoder and train sections' calls in load_checkpoint
+    load = ("contrastive", "load_checkpoint")
+    assert _owners("_manifest_config(") == [("contrastive", "_manifest_config"), load, load]
+    # a checkpoint holds typed settings; the only manifest read by key is a ProcessedDataset's own
+    assert _owners(".manifest[") == [("data", "train_slides"), ("data", "test_slides")]
