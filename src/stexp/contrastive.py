@@ -138,17 +138,17 @@ _RETIRED_FIELDS = {
 }
 
 
-def _manifest_config(cls, manifest: dict, section: str):
-    """A manifest section as a `cls`: a retired field is dropped if it holds its fixed value, else refused."""
+def _manifest_config(cls, manifest: dict, section: str, path: Path):
+    """`path`'s manifest section as a `cls`: a retired field is dropped if it holds its fixed value, else refused."""
     known = {f.name for f in fields(cls)}
     values = {}
     for name, value in manifest[section].items():
         if name in known:
             values[name] = value
         elif name not in _RETIRED_FIELDS[section]:
-            raise ValueError(f"checkpoint manifest field {section}.{name} is not a {cls.__name__} field")
+            raise ValueError(f"{path}: field {section}.{name} is not a {cls.__name__} field")
         elif value != _RETIRED_FIELDS[section][name]:
-            raise ValueError(f"checkpoint manifest field {section}.{name}={value!r} is no longer supported "
+            raise ValueError(f"{path}: field {section}.{name}={value!r} is no longer supported "
                              f"(only {_RETIRED_FIELDS[section][name]!r})")
     return config_from_json(cls, values)
 
@@ -190,21 +190,22 @@ def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
 
 def load_checkpoint(directory: str | Path) -> Checkpoint:
     directory = Path(directory)
-    manifest = read_json(directory / "manifest.json", required=("encoder", "train", "preprocess", "params"))
-    enc_cfg = _manifest_config(enc.EncoderConfig, manifest, "encoder")
-    train_cfg = _manifest_config(TrainConfig, manifest, "train")
+    path = directory / "manifest.json"
+    manifest = read_json(path, required=("encoder", "train", "preprocess", "params"))
+    enc_cfg = _manifest_config(enc.EncoderConfig, manifest, "encoder", path)
+    train_cfg = _manifest_config(TrainConfig, manifest, "train", path)
     layout = manifest["params"]
     blob = read_blob(directory / "params.f32", "u1", (layout["total_bytes"],))
     params = ParamSet()
     expected_offset = 0
     for entry in layout["entries"]:
         if entry["offset"] != expected_offset:
-            raise ValueError(f"checkpoint manifest offsets do not tile the blob at {entry['name']}")
+            raise ValueError(f"{path}: offsets do not tile the blob at {entry['name']}")
         expected_offset += entry["nbytes"]
         arr = blob[entry["offset"] : expected_offset].view(layout["dtype"]).reshape(entry["shape"])
         params.add(entry["name"], arr)
     if expected_offset != layout["total_bytes"]:
-        raise ValueError("checkpoint manifest offsets do not tile the blob exactly")
+        raise ValueError(f"{path}: offsets do not tile the blob exactly")
     return Checkpoint(params, enc_cfg, train_cfg, manifest["preprocess"], manifest.get("loss_history", []))
 
 

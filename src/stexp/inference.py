@@ -5,12 +5,19 @@ cosine similarity are fetched from a flat store by an exact scan (one float32
 GEMM per block of index rows against all queries, merged into a running
 per-query top-k; ties at the k-th cosine go to the lower row id), and their
 observed expressions are combined with inverse-square Euclidean-distance
-weights (computed in the embedding space).
+weights (computed in the embedding space). The scan runs on one thread per
+CPU the BLAS leaves free (set OPENBLAS_NUM_THREADS=1 to free them): each
+thread takes the next unscanned block when it finishes one, keeps its own
+top-k, and the threads' lists are merged by (-cosine, row id), so the lower
+row id still wins a tie.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -100,49 +107,66 @@ def _check_k(index: RetrievalIndex, k: int, where: str) -> None:
         raise ValueError(f"{where}: k={k} outside [1, {index.size}]")
 
 
-def search(index: RetrievalIndex, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact top-k reference rows of each query by cosine, ranked.
+def _scan_workers(n: int, block: int) -> int:
+    """Threads to scan with: one per CPU the BLAS leaves free, at most one per full score tile."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    blas_threads = cpus  # OpenBLAS's default when neither variable holds a count
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value >= 1:
+            blas_threads = value
+            break
+    return max(1, min(cpus // blas_threads, n // block))
 
-    Returns [m, k] arrays of row ids, cosines and Euclidean distances. The
-    index is read once: each block of rows is scored against all queries by
-    one float32 GEMM whose [rows, m] tile stays within SEARCH_BLOCK_BYTES. In
-    the first block every row scoring at least a query's k-th cosine is a
-    candidate; in later blocks a row must beat the current k-th cosine, as
-    its higher row id loses a tie. Candidates and the current top k are
-    ranked by (-cosine, row id), so the result is the exact top k of the
-    float32 scores. For unit vectors d^2 = 2 - 2 cos within float tolerance.
+
+def _block_claims(n: int, block: int):
+    """A thread-safe callable handing out each block's first row, in ascending order, then None."""
+    starts, lock = iter(range(0, n, block)), threading.Lock()
+
+    def claim():
+        with lock:
+            return next(starts, None)
+
+    return claim
+
+
+def _scan_blocks(emb: np.ndarray, q_t: np.ndarray, k: int, block: int, claim) -> tuple[np.ndarray, np.ndarray]:
+    """Exact [m, k] top rows and cosines, ranked by (-cos, row id), of the blocks of `emb` that `claim` hands out.
+
+    Each block of rows is scored against all queries by one float32 GEMM into
+    a reused [rows, m] tile. In the first block every row scoring at least a
+    query's k-th cosine is a candidate; in later blocks a row must beat the
+    current k-th cosine, as blocks come in ascending order and its higher row
+    id loses a tie. Slots that no row fills hold row id len(emb) and -inf.
     """
-    emb = index.embeddings
-    queries = np.asarray(queries, dtype=emb.dtype)
-    if queries.ndim != 2 or queries.shape[1] != emb.shape[1]:
-        raise ValueError(f"search: queries {queries.shape} do not match index dim {emb.shape[1]}")
-    if not np.isfinite(queries).all():  # a NaN row would select no candidates
-        raise ValueError("search: queries contain NaN/Inf")
-    _check_k(index, k, "search")
-    (m, d), n = queries.shape, index.size
-    rows = np.empty((m, k), dtype=np.int64)
-    cosines = np.empty((m, k), dtype=emb.dtype)
-    dists = np.empty((m, k), dtype=emb.dtype)
-    if m == 0:
-        return rows, cosines, dists
-    q_t = np.ascontiguousarray(queries.T)
-    block = max(k, SEARCH_BLOCK_BYTES // (m * emb.itemsize))
+    (n, _), m = emb.shape, q_t.shape[1]
+    rows = np.full((m, k), n, dtype=np.int64)
+    cosines = np.full((m, k), -np.inf, dtype=emb.dtype)
     tile = np.empty((min(block, n), m), dtype=emb.dtype)  # reused: a fresh tile per block page-faults
-    for lo in range(0, n, block):
+    first = True
+    while (lo := claim()) is not None:
         chunk = emb[lo : lo + block]
         scores = np.matmul(chunk, q_t, out=tile[: len(chunk)])  # [rows, m]
-        if lo == 0:  # every row at or above each query's k-th score
+        top_k_in_block = first and len(scores) >= k
+        if top_k_in_block:  # every row at or above each query's k-th score
             by_query = scores.T.copy()  # partitioning contiguous rows is ~2x faster than columns
             by_query.partition(len(scores) - k, axis=1)
             hit = scores >= by_query[:, len(scores) - k]
         else:  # a later row has a higher id, so it must beat the k-th score outright
             hit = scores > cosines[:, -1]
+        first = False
         r, qi = np.divmod(np.flatnonzero(hit), m)  # 2-D np.nonzero is ~10x slower
         if not r.size:
             continue
         c, r = scores[r, qi], r + lo
         hit_q = np.unique(qi)
-        if lo:  # merge with the hit queries' current top k
+        if not top_k_in_block:  # merge with the hit queries' current top k
             qi = np.concatenate((np.repeat(hit_q, k), qi))
             r = np.concatenate((rows[hit_q].ravel(), r))
             c = np.concatenate((cosines[hit_q].ravel(), c))
@@ -152,6 +176,55 @@ def search(index: RetrievalIndex, queries: np.ndarray, k: int) -> tuple[np.ndarr
         qi, r, c = qi[order], r[order], c[order]
         first_k = np.searchsorted(qi, hit_q)[:, None] + np.arange(k)
         rows[hit_q], cosines[hit_q] = r[first_k], c[first_k]
+    return rows, cosines
+
+
+def _merge_top_k(parts: list[tuple[np.ndarray, np.ndarray]], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first k of several ranked [m, k'] (rows, cosines) lists, by (-cosine, row id)."""
+    rows = np.concatenate([r for r, _ in parts], axis=1)
+    cosines = np.concatenate([c for _, c in parts], axis=1)
+    first_k = np.lexsort((rows, -cosines), axis=1)[:, :k]
+    return np.take_along_axis(rows, first_k, 1), np.take_along_axis(cosines, first_k, 1)
+
+
+def search(index: RetrievalIndex, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact top-k reference rows of each query by cosine, ranked.
+
+    Returns [m, k] arrays of row ids, cosines and Euclidean distances. The
+    index is read once, in blocks of rows taken in ascending order by one
+    or more worker threads: each block is scored against all queries by one
+    float32 GEMM whose [rows, m] tile stays within SEARCH_BLOCK_BYTES and
+    merged into its thread's running top k. A thread takes the next block
+    when it finishes one, so a thread slowed by a busy CPU scans fewer
+    blocks instead of holding up the rest. The threads' lists are merged by
+    (-cosine, row id), so ties at the k-th cosine still go to the lower row
+    id and the result is the exact top k of the float32 scores, whichever
+    thread scanned which block. There is one worker per CPU the BLAS leaves
+    free (CPUs divided by OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else
+    by the CPU count itself), at most one per full tile; with one worker
+    the whole index is scanned inline and no thread starts. For unit
+    vectors d^2 = 2 - 2 cos within float tolerance.
+    """
+    emb = index.embeddings
+    queries = np.asarray(queries, dtype=emb.dtype)
+    if queries.ndim != 2 or queries.shape[1] != emb.shape[1]:
+        raise ValueError(f"search: queries {queries.shape} do not match index dim {emb.shape[1]}")
+    if not np.isfinite(queries).all():  # a NaN row would select no candidates
+        raise ValueError("search: queries contain NaN/Inf")
+    _check_k(index, k, "search")
+    (m, d), n = queries.shape, index.size
+    dists = np.empty((m, k), dtype=emb.dtype)
+    if m == 0:
+        return np.empty((m, k), dtype=np.int64), np.empty((m, k), dtype=emb.dtype), dists
+    q_t = np.ascontiguousarray(queries.T)
+    block = max(k, SEARCH_BLOCK_BYTES // (m * emb.itemsize))
+    workers, claim = _scan_workers(n, block), _block_claims(n, block)
+    if workers == 1:
+        rows, cosines = _scan_blocks(emb, q_t, k, block, claim)
+    else:
+        with ThreadPoolExecutor(workers) as pool:  # numpy's matmul releases the GIL
+            parts = [pool.submit(_scan_blocks, emb, q_t, k, block, claim) for _ in range(workers)]
+            rows, cosines = _merge_top_k([part.result() for part in parts], k)
     ranks = max(1, SEARCH_BLOCK_BYTES // (m * d * emb.itemsize))  # caps the [m, ranks, d] differences
     for j in range(0, k, ranks):
         diffs = emb[rows[:, j : j + ranks]] - queries[:, None, :]

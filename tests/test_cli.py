@@ -506,7 +506,27 @@ class TestPreflight:
         out = tmp_path / "idx"
         assert main(["embed", "--config", str(cfg), "--checkpoint", str(ck), "--data", str(root / "data"),
                      "--out", str(out)]) == 1
-        assert f"{section}.{field}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{section}.{field}" in err and str(ck / "manifest.json") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda entries: entries[1].update(offset=entries[1]["offset"] + 4), "do not tile the blob at"),
+        (lambda entries: entries.pop(), "do not tile the blob exactly"),
+    ], ids=["shifted-offset", "dropped-entry"])
+    def test_checkpoint_with_untiled_offsets_names_the_manifest(self, pipeline, tmp_path, capsys,
+                                                                corrupt, message):
+        root, cfg = pipeline
+        ck = tmp_path / "ck"
+        shutil.copytree(root / "ck", ck)
+        manifest = json.loads((ck / "manifest.json").read_text())
+        corrupt(manifest["params"]["entries"])
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "idx"
+        assert main(["embed", "--config", str(cfg), "--checkpoint", str(ck), "--data", str(root / "data"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and str(ck / "manifest.json") in err
         assert not out.exists()
 
     def test_checkpoint_with_retired_fields_at_their_fixed_values_loads(self, pipeline, tmp_path):

@@ -397,6 +397,149 @@ class TestRowBlockedScan:
                                    reference_predict(index, queries, k), atol=1e-6)
 
 
+def stub_workers(monkeypatch, workers):
+    """Scan on `workers` threads, whatever the CPU and BLAS thread counts."""
+    monkeypatch.setattr(inference, "_scan_workers", lambda n, block: workers)
+
+
+def same_bits(got, want):
+    return all(g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+               for g, w in zip(got, want))
+
+
+class TestThreadedScan(TestRowBlockedScan):
+    """Every row-blocked scan case again, and the tie cases, on 1, 2 and 3 threads."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 3])
+    def workers(self, request, monkeypatch):
+        stub_workers(monkeypatch, request.param)
+        return request.param
+
+    test_tie_break_lower_row_id = TestQueryTopk.test_tie_break_lower_row_id
+    test_ties_at_the_cut_go_to_lower_rows = TestBatchedSearch.test_ties_at_the_cut_go_to_lower_rows
+
+    def tie_index(self):
+        """18 rows; row 2 is repeated in rows 10 and 16."""
+        e = self.E
+        return exact_index([-e[0], e[1], e[2], -e[1], -e[2], -e[3], -e[0], -e[1], -e[3],
+                            e[0], e[2], -e[2], -e[0], -e[1], -e[3], -e[2], e[2], e[3]])
+
+    def test_later_row_tying_the_kth_cosine_loses(self, monkeypatch):
+        index = self.tie_index()
+        rows_per_block(monkeypatch, 3, len(self.Q))  # 6 blocks to share out
+        rows, cosines, _ = search(index, self.Q, 3)
+        # Q[0]: rows 10 and 16 tie row 2 at the k-th score 2 and lose; Q[1]: row 10 beats row 16 at 4
+        np.testing.assert_array_equal(rows, [[9, 1, 2], [17, 2, 10]])
+        np.testing.assert_array_equal(cosines, [[8, 4, 2], [8, 4, 4]])
+        np.testing.assert_array_equal(rows, brute_force(index, self.Q, 3))
+
+    def test_top_k_is_a_prefix_of_top_k_max(self, monkeypatch):
+        index = self.tie_index()
+        rows_per_block(monkeypatch, 3, len(self.Q))
+        k_max = index.size
+        longest = search(index, self.Q, k_max)
+        for k in range(1, k_max):
+            assert same_bits(search(index, self.Q, k), [a[:, :k] for a in longest]), k
+
+    @pytest.mark.parametrize("k", [1, 7, 50])
+    def test_same_bits_as_one_thread(self, monkeypatch, k):
+        index = make_index(n=700, d=8, seed=15)
+        queries = unit_rows(50, 8, 16)
+        rows_per_block(monkeypatch, 64, len(queries))  # 11 blocks and a short last one
+        threaded = search(index, queries, k)
+        stub_workers(monkeypatch, 1)
+        assert same_bits(threaded, search(index, queries, k))
+
+    @pytest.mark.parametrize("split", [
+        [[0, 2, 4], [1, 3]],
+        [[2, 3, 4], [0, 1]],
+        [[4], [0, 1, 2, 3]],  # a thread's first block is the short last one
+        [[], [0, 1, 2, 3, 4]],  # a thread that gets no block
+        [[1, 4], [0], [2, 3]],
+    ])
+    def test_any_split_of_the_blocks_merges_to_one_threads_bits(self, monkeypatch, split):
+        """Each thread's blocks ascend, whichever thread claims which; rows 10 and 16 tie row 2 for Q[0]."""
+        index = self.tie_index()
+        k, block = 3, 4  # blocks start at rows 0, 4, 8, 12 and 16; the last holds 2 rows
+        q_t = np.ascontiguousarray(self.Q.T)
+
+        def claims(blocks):
+            starts = iter(block * b for b in blocks)
+            return lambda: next(starts, None)
+
+        parts = [inference._scan_blocks(index.embeddings, q_t, k, block, claims(b)) for b in split]
+        merged = inference._merge_top_k(parts, k)
+        rows_per_block(monkeypatch, block, len(self.Q))
+        stub_workers(monkeypatch, 1)
+        assert same_bits(merged, search(index, self.Q, k)[:2])
+        np.testing.assert_array_equal(merged[0], brute_force(index, self.Q, k))
+
+
+class TestScanWorkers:
+    """The worker rule, checked without starting more than two threads."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        return lambda count: monkeypatch.setattr(inference.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    def test_one_worker_when_blas_threads_unset(self, cpus):
+        cpus(64)
+        assert inference._scan_workers(10**6, 10) == 1
+
+    def test_capped_at_full_tiles(self, cpus, monkeypatch):
+        cpus(64)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert inference._scan_workers(3 * 8192 + 100, 8192) == 3
+        assert inference._scan_workers(8191, 8192) == 1
+
+    @pytest.mark.parametrize("openblas, omp, workers", [
+        ("1", None, 8), ("2", "1", 4), (None, "4", 2),
+        ("many", "2", 4), ("many", None, 1), ("0", "2", 4), ("0", None, 1),  # not a positive count: next one
+    ])
+    def test_blas_threads_divide_cpus(self, cpus, monkeypatch, openblas, omp, workers):
+        cpus(8)
+        for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is not None:
+                monkeypatch.setenv(var, value)
+        assert inference._scan_workers(10**6, 10) == workers
+
+    def test_cpu_count_without_affinity(self, cpus, monkeypatch):
+        monkeypatch.delattr(inference.os, "sched_getaffinity")
+        monkeypatch.setattr(inference.os, "cpu_count", lambda: 6)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert inference._scan_workers(10**6, 10) == 3
+
+    def test_index_below_one_tile_starts_no_thread(self, cpus, monkeypatch):
+        cpus(64)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(inference, "ThreadPoolExecutor", lambda *a, **k: pytest.fail("a thread pool opened"))
+        index = make_index(n=30, seed=13)
+        queries = unit_rows(5, 8, 14)
+        rows, _, _ = search(index, queries, 4)
+        np.testing.assert_array_equal(rows, brute_force(index, queries, 4))
+
+    def test_two_free_cpus_scan_on_two_threads(self, cpus, monkeypatch):
+        cpus(2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        opened = []
+
+        class Recording(inference.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(inference, "ThreadPoolExecutor", Recording)
+        index = make_index(n=700, d=8, seed=15)
+        queries = unit_rows(50, 8, 16)
+        rows_per_block(monkeypatch, 64, len(queries))
+        threaded = search(index, queries, 7)
+        assert opened == [2]
+        stub_workers(monkeypatch, 1)
+        assert same_bits(threaded, search(index, queries, 7))
+
+
 class TestUnitNormCheck:
     def nan_row_index(self):
         index = make_index()
