@@ -251,13 +251,28 @@ def _subset_slide(slide: Slide, keep_rows: np.ndarray) -> Slide:
 
 
 def transform_slide(slide: Slide, manifest: dict) -> Slide:
-    """Apply a recorded preprocessing manifest to one raw slide."""
-    normed, dropped = _normalize_slide(slide)
+    """Apply a recorded preprocessing manifest to one raw slide.
+
+    The slide must hold the manifest's gene panel: every hvg_indices entry
+    is one of its genes and, where the manifest records hvg_gene_names
+    (manifests written before it was recorded do not), its gene_names at
+    those indices are exactly those names. A slide that does not is a
+    DataFormatError naming the slide and the field.
+    """
     hvg = np.asarray(manifest["hvg_indices"], dtype=np.int64)
+    if hvg.size and not 0 <= hvg.min() <= hvg.max() < slide.gene_num:
+        raise DataFormatError(f"{slide.slide_id}: gene_num={slide.gene_num} does not hold the manifest's "
+                              f"hvg_indices {hvg.min()}..{hvg.max()}")
+    names = [slide.gene_names[i] for i in hvg]
+    expected = manifest.get("hvg_gene_names", names)
+    if names != expected:
+        raise DataFormatError(f"{slide.slide_id}: gene_names at the manifest's hvg_indices are {names!r}, "
+                              f"its hvg_gene_names {expected!r}")
+    normed, dropped = _normalize_slide(slide)
     keep_rows = np.setdiff1d(np.arange(slide.spot_num), np.asarray(dropped, dtype=np.int64))
     out = _subset_slide(slide, keep_rows)
     out.expression = normed[:, hvg].astype(np.float32)
-    out.gene_names = [slide.gene_names[i] for i in hvg]
+    out.gene_names = names
     out.validate()
     return out
 
@@ -294,6 +309,7 @@ def preprocess(slides: list[Slide], hvg_num: int, train_ids: list[str]) -> Proce
         "transform": "log1p",
         "hvg_num": hvg_num,
         "hvg_indices": [int(i) for i in hvg],
+        "hvg_gene_names": [slides[0].gene_names[i] for i in hvg],
         "train_ids": list(train_ids),
         "dropped_spots": {k: v for k, v in dropped.items() if v},
     }

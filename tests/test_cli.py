@@ -180,6 +180,19 @@ class TestPipeline:
         assert rc == 1
         assert not (root / "leak").exists()
 
+    def test_checkpoint_without_gene_names_predicts_the_same(self, pipeline, tmp_path):
+        """A checkpoint written before the manifest recorded hvg_gene_names still loads and predicts."""
+        root, cfg = pipeline
+        shutil.copytree(root / "ck", tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["preprocess"]["hvg_gene_names"]
+        path.write_text(json.dumps(manifest))
+        assert main(["predict", "--config", str(cfg), "--seed", "7", "--checkpoint", str(tmp_path / "ck"),
+                     "--index", str(root / "idx"), "--slide", str(root / "data" / "slide_001"),
+                     "--out", str(tmp_path / "pred")]) == 0
+        assert dir_bytes(tmp_path / "pred") == dir_bytes(root / "pred")
+
     def test_summary_has_ari_for_labeled_slide(self, pipeline):
         root, _ = pipeline
         summary = json.loads((root / "ev" / "summary.json").read_text())
@@ -246,6 +259,16 @@ ARTIFACT_CORRUPTIONS = [
 COMMAND_READS = {"embed": ("ck",), "predict": ("ck", "idx"), "eval": ("ck", "pred")}
 
 
+def command_args(command: str, root: Path, data: Path) -> list[str]:
+    """A command's inputs: the ck, idx and pred artifacts under root, the slides under data."""
+    slide = str(data / "slide_001")
+    return {
+        "embed": ["--checkpoint", str(root / "ck"), "--data", str(data)],
+        "predict": ["--checkpoint", str(root / "ck"), "--index", str(root / "idx"), "--slide", slide],
+        "eval": ["--pred", str(root / "pred"), "--slide", slide, "--checkpoint", str(root / "ck")],
+    }[command]
+
+
 class TestArtifactCorruption:
     @pytest.mark.parametrize("command, artifact, corrupt", [
         pytest.param(command, artifact, corrupt, id=f"{command}-{artifact}-{corrupt.__name__.strip('_')}")
@@ -258,15 +281,30 @@ class TestArtifactCorruption:
         for name in ("ck", "idx", "pred"):
             shutil.copytree(root / name, tmp_path / name)
         corrupt(tmp_path / artifact)
-        slide = str(root / "data" / "slide_001")
-        args = {
-            "embed": ["--checkpoint", str(tmp_path / "ck"), "--data", str(root / "data")],
-            "predict": ["--checkpoint", str(tmp_path / "ck"), "--index", str(tmp_path / "idx"), "--slide", slide],
-            "eval": ["--pred", str(tmp_path / "pred"), "--slide", slide, "--checkpoint", str(tmp_path / "ck")],
-        }[command]
         out = tmp_path / "out"
-        assert main([command, "--config", str(cfg), *args, "--out", str(out)]) == 1
+        assert main([command, "--config", str(cfg), *command_args(command, tmp_path, root / "data"),
+                     "--out", str(out)]) == 1
         assert str(tmp_path / artifact) in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.glob(".tmp-*"))
+
+    @pytest.mark.parametrize("command, slide_id", [("embed", "slide_000"), ("predict", "slide_001"),
+                                                   ("eval", "slide_001")])
+    def test_other_gene_panel_exits_1_naming_the_slide(self, pipeline, tmp_path, capsys, monkeypatch,
+                                                       command, slide_id):
+        root, cfg = pipeline
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        for path in data.glob("*/meta.json"):  # every slide holds the same genes, in reverse order
+            meta = json.loads(path.read_text())
+            meta["gene_names"].reverse()
+            path.write_text(json.dumps(meta))
+        for module, name in ((cli.inference, "build_index"), (cli.inference, "predict_slide"),
+                             (cli.ev, "compute_metrics")):
+            monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("model work before the panel check"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), *command_args(command, root, data), "--out", str(out)]) == 1
+        assert f"{slide_id}: gene_names at the manifest's hvg_indices" in capsys.readouterr().err
         assert not out.exists()
         assert not list(tmp_path.glob(".tmp-*"))
 

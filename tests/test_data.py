@@ -182,6 +182,36 @@ class TestPreprocess:
         np.testing.assert_array_equal(again.expression, ds.slides[0].expression)
         assert again.gene_names == ds.slides[0].gene_names
 
+    def test_manifest_records_the_panel_names(self):
+        slide = make_slide(spots=12, genes=9)
+        ds = preprocess([slide], hvg_num=4, train_ids=[slide.slide_id])
+        assert ds.manifest["hvg_gene_names"] == [slide.gene_names[i] for i in ds.manifest["hvg_indices"]]
+        assert ds.gene_names == ds.manifest["hvg_gene_names"]
+
+    def test_other_gene_order_rejected(self):
+        slide = make_slide(spots=12, genes=9)
+        ds = preprocess([slide], hvg_num=4, train_ids=[slide.slide_id])
+        slide.gene_names.reverse()  # the same genes, listed in another order
+        with pytest.raises(DataFormatError, match=f"{slide.slide_id}: gene_names at the manifest's hvg_indices"):
+            transform_slide(slide, ds.manifest)
+
+    @pytest.mark.parametrize("index", [9, -1])
+    def test_index_outside_the_slide_rejected(self, index):
+        slide = make_slide(spots=12, genes=9)
+        manifest = dict(preprocess([slide], hvg_num=4, train_ids=[slide.slide_id]).manifest)
+        manifest["hvg_indices"] = [0, index]
+        del manifest["hvg_gene_names"]
+        with pytest.raises(DataFormatError, match=f"{slide.slide_id}: gene_num=9 does not hold"):
+            transform_slide(slide, manifest)
+
+    def test_manifest_without_panel_names_still_applies(self):
+        slide = make_slide(spots=12, genes=9)
+        ds = preprocess([slide], hvg_num=4, train_ids=[slide.slide_id])
+        earlier = {key: value for key, value in ds.manifest.items() if key != "hvg_gene_names"}
+        again = transform_slide(slide, earlier)
+        np.testing.assert_array_equal(again.expression, ds.slides[0].expression)
+        assert again.gene_names == ds.gene_names
+
     def test_hvg_num_too_large_rejected(self):
         slide = make_slide(genes=4)
         with pytest.raises(DataFormatError, match="hvg_num"):

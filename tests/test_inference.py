@@ -598,3 +598,47 @@ class TestIndexPersistence:
         path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="provenance.json lists 19 entries for 20 rows"):
             load_index(tmp_path / "idx")
+
+
+class TestSelection:
+    """The first block's strip-wise transpose and the one-key ranking of candidates."""
+
+    @pytest.mark.parametrize("lower_row_zero", [-0.0, 0.0])
+    def test_signed_zero_cosines_tie_in_a_block_merge(self, lower_row_zero):
+        # query 1's candidates arrive in ascending row id, rows 3 and 5 at zero cosines of opposite sign
+        qi = np.array([0, 0, 1, 1, 1])
+        r = np.array([2, 4, 3, 5, 6])
+        c = np.array([0.5, 0.25, lower_row_zero, -lower_row_zero, -0.5], dtype=np.float32)
+        rows, cosines = inference._first_k_per_query(qi, r, c, np.array([0, 1]), 2)
+        np.testing.assert_array_equal(rows, [[2, 4], [3, 5]])
+        assert np.signbit(cosines[1]).tolist() == [np.signbit(lower_row_zero), not np.signbit(lower_row_zero)]
+
+    @pytest.mark.parametrize("lower_row_zero", [-0.0, 0.0])
+    def test_signed_zero_cosines_tie_in_the_thread_merge(self, lower_row_zero):
+        # the thread holding the higher row id comes first
+        parts = [(np.array([[5, 9]]), np.array([[-lower_row_zero, -1.0]], dtype=np.float32)),
+                 (np.array([[3, 8]]), np.array([[lower_row_zero, -2.0]], dtype=np.float32))]
+        rows, cosines = inference._merge_top_k(parts, 3)
+        np.testing.assert_array_equal(rows, [[3, 5, 9]])
+        assert np.signbit(cosines[0, :2]).tolist() == [np.signbit(lower_row_zero), not np.signbit(lower_row_zero)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_kth_cosine_tied_in_the_short_last_strip_of_a_first_block(self, monkeypatch, workers):
+        e = np.eye(4)
+        strip, block, k = inference.TRANSPOSE_STRIP_ROWS, 300, 20
+        assert block % strip and (850 - 2 * block) % strip  # no first block fills its last strip
+        # block 0: a strip of negative scores for Q[0], then in its short last strip 10 rows at 4
+        # and 34 at -1, so Q[0]'s k-th cosine -1 is tied there; the later blocks tie it or beat it
+        index = exact_index([[-e[0], -e[1], -e[2]][i % 3] for i in range(strip)]
+                            + [e[1]] * 10 + [-e[3]] * 34
+                            + [[-e[3], -e[1], e[2], -e[0]][i % 4] for i in range(block)]
+                            + [[e[0], -e[3], -e[2]][i % 3] for i in range(250)])
+        queries = TestRowBlockedScan.Q
+        rows_per_block(monkeypatch, block, len(queries))
+        stub_workers(monkeypatch, workers)
+        first = index.embeddings[:block] @ queries[0]
+        kth = np.sort(first)[-k]
+        assert kth == -1 and np.sum(first > kth) < k < np.sum(first >= kth)
+        assert np.flatnonzero(first >= kth).min() >= strip  # every first-block candidate is in the last strip
+        rows, _, _ = search(index, queries, k)
+        np.testing.assert_array_equal(rows, brute_force(index, queries, k))
