@@ -563,13 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stexp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config entry, e.g. train.epochs=10")
         p.add_argument("--seed", type=int, help="global seed (wins over config)")
-        if out_required:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     common(p)

@@ -19,12 +19,11 @@ import numpy as np
 
 from . import diffcore as dc
 from . import encoders as enc
-from .data import ProcessedDataset, batch_sampler, read_blob, read_json, write_json
+from .data import PREPROCESS_TRANSFORM, ProcessedDataset, batch_sampler, read_blob, read_json, write_json
 from .diffcore import ParamSet, Tensor
 
 log = logging.getLogger(__name__)
 
-UNIT_NORM_TOL = 1e-5
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # moment decay rates, denominator epsilon
 
 
@@ -59,14 +58,6 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
-
-
-def _check_unit_rows(h: np.ndarray, name: str) -> None:
-    h = np.asarray(h)
-    norms = np.sqrt(np.einsum("ij,ij->i", h, h, dtype=np.float64))  # float64 sums, no float64 copy of h
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # a NaN norm fails too
-    if bad.size:
-        raise ValueError(f"{name}: row {int(bad[0])} has norm {norms[bad[0]]:.6f}, expected 1 +/- {UNIT_NORM_TOL}")
 
 
 def _symmetric_ce(sim: Tensor, inv_tau: float) -> Tensor:
@@ -189,20 +180,32 @@ def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
 
 
 def load_checkpoint(directory: str | Path) -> Checkpoint:
+    """Read a checkpoint, refusing a preprocessing transform other than PREPROCESS_TRANSFORM or a non-<f4 layout."""
     directory = Path(directory)
     path = directory / "manifest.json"
     manifest = read_json(path, required=("encoder", "train", "preprocess", "params"))
     enc_cfg = _manifest_config(enc.EncoderConfig, manifest, "encoder", path)
     train_cfg = _manifest_config(TrainConfig, manifest, "train", path)
+    for key, implemented in PREPROCESS_TRANSFORM.items():
+        if key not in manifest["preprocess"]:
+            raise ValueError(f"{path}: missing key preprocess.{key}")
+        if manifest["preprocess"][key] != implemented:
+            raise ValueError(f"{path}: field preprocess.{key}={manifest['preprocess'][key]!r} is not supported "
+                             f"(only {implemented!r})")
     layout = manifest["params"]
+    if layout["dtype"] != "<f4":
+        raise ValueError(f"{path}: field params.dtype={layout['dtype']!r} is not supported (only '<f4')")
     blob = read_blob(directory / "params.f32", "u1", (layout["total_bytes"],))
     params = ParamSet()
     expected_offset = 0
     for entry in layout["entries"]:
         if entry["offset"] != expected_offset:
             raise ValueError(f"{path}: offsets do not tile the blob at {entry['name']}")
+        if entry["nbytes"] != 4 * int(np.prod(entry["shape"])):
+            raise ValueError(f"{path}: params entry {entry['name']} has shape {entry['shape']}, "
+                             f"which is not its {entry['nbytes']} bytes of <f4")
         expected_offset += entry["nbytes"]
-        arr = blob[entry["offset"] : expected_offset].view(layout["dtype"]).reshape(entry["shape"])
+        arr = blob[entry["offset"] : expected_offset].view("<f4").reshape(entry["shape"])
         params.add(entry["name"], arr)
     if expected_offset != layout["total_bytes"]:
         raise ValueError(f"{path}: offsets do not tile the blob exactly")

@@ -29,6 +29,8 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 TARGET_LIBRARY_SIZE = 1e4  # per-spot count sum before log1p
+# The transform as a preprocessing manifest records it; a checkpoint recording another is refused when it loads.
+PREPROCESS_TRANSFORM = {"target_sum": TARGET_LIBRARY_SIZE, "transform": "log1p"}
 
 
 class DataFormatError(ValueError):
@@ -227,27 +229,18 @@ class ProcessedDataset:
         raise KeyError(slide_id)
 
 
-def _normalize_slide(slide: Slide) -> tuple[np.ndarray, list[int]]:
-    """Library-size normalize to TARGET_LIBRARY_SIZE then log1p; returns dropped spot indices."""
-    expr = slide.expression.astype(np.float64)
-    totals = expr.sum(axis=1)
-    dropped = np.flatnonzero(totals <= 0)
-    if dropped.size:
-        log.warning("%s: dropping %d zero-count spots", slide.slide_id, dropped.size)
-    keep = totals > 0
-    normed = np.log1p(expr[keep] / totals[keep, None] * TARGET_LIBRARY_SIZE)
-    return normed, dropped.tolist()
+def _kept_spots(slide: Slide) -> np.ndarray:
+    """The mask of the spots preprocessing keeps: those with a count (counts are non-negative, so the rest are 0)."""
+    keep = slide.expression.any(axis=1)
+    if not keep.all():
+        log.warning("%s: dropping %d zero-count spots", slide.slide_id, np.count_nonzero(~keep))
+    return keep
 
 
-def _subset_slide(slide: Slide, keep_rows: np.ndarray) -> Slide:
-    return replace(
-        slide,
-        expression=slide.expression[keep_rows],
-        coords=slide.coords[keep_rows],
-        patches=None if slide.patches is None else slide.patches[keep_rows],
-        features=None if slide.features is None else slide.features[keep_rows],
-        labels=None if slide.labels is None else slide.labels[keep_rows],
-    )
+def _normalize(counts: np.ndarray) -> np.ndarray:
+    """Each row library-size normalized to TARGET_LIBRARY_SIZE, then log1p, in float64; every row has a count."""
+    expr = counts.astype(np.float64)
+    return np.log1p(expr / expr.sum(axis=1, keepdims=True) * TARGET_LIBRARY_SIZE)
 
 
 def transform_slide(slide: Slide, manifest: dict) -> Slide:
@@ -268,17 +261,20 @@ def transform_slide(slide: Slide, manifest: dict) -> Slide:
     if names != expected:
         raise DataFormatError(f"{slide.slide_id}: gene_names at the manifest's hvg_indices are {names!r}, "
                               f"its hvg_gene_names {expected!r}")
-    normed, dropped = _normalize_slide(slide)
-    keep_rows = np.setdiff1d(np.arange(slide.spot_num), np.asarray(dropped, dtype=np.int64))
-    out = _subset_slide(slide, keep_rows)
-    out.expression = normed[:, hvg].astype(np.float32)
-    out.gene_names = names
-    out.validate()
-    return out
+    keep = _kept_spots(slide)
+    return replace(
+        slide,
+        expression=_normalize(slide.expression[keep])[:, hvg].astype(np.float32),
+        coords=slide.coords[keep],
+        gene_names=names,
+        patches=None if slide.patches is None else slide.patches[keep],
+        features=None if slide.features is None else slide.features[keep],
+        labels=None if slide.labels is None else slide.labels[keep],
+    )
 
 
 def preprocess(slides: list[Slide], hvg_num: int, train_ids: list[str]) -> ProcessedDataset:
-    """Normalize every slide and select highly-variable genes from training slides only.
+    """Select highly-variable genes from the training slides only, then transform every slide.
 
     Genes are ranked by variance of the normalized log1p expression across
     all training spots; the top hvg_num are kept in variance-descending
@@ -294,24 +290,18 @@ def preprocess(slides: list[Slide], hvg_num: int, train_ids: list[str]) -> Proce
     if hvg_num > gene_num:
         raise DataFormatError(f"preprocess: hvg_num={hvg_num} exceeds gene_num={gene_num}")
 
-    normed: dict[str, np.ndarray] = {}
-    dropped: dict[str, list[int]] = {}
-    for s in slides:
-        normed[s.slide_id], dropped[s.slide_id] = _normalize_slide(s)
-
-    train_matrix = np.concatenate([normed[t] for t in train_ids], axis=0)
-    variances = train_matrix.var(axis=0)
-    order = np.lexsort((np.arange(gene_num), -variances))
-    hvg = order[:hvg_num]
+    keep = {s.slide_id: _kept_spots(s) for s in slides}
+    by_id = {s.slide_id: s for s in slides}
+    variances = np.concatenate([_normalize(by_id[t].expression[keep[t]]) for t in train_ids], axis=0).var(axis=0)
+    hvg = np.lexsort((np.arange(gene_num), -variances))[:hvg_num]
 
     manifest = {
-        "target_sum": TARGET_LIBRARY_SIZE,
-        "transform": "log1p",
+        **PREPROCESS_TRANSFORM,
         "hvg_num": hvg_num,
         "hvg_indices": [int(i) for i in hvg],
         "hvg_gene_names": [slides[0].gene_names[i] for i in hvg],
         "train_ids": list(train_ids),
-        "dropped_spots": {k: v for k, v in dropped.items() if v},
+        "dropped_spots": {sid: np.flatnonzero(~mask).tolist() for sid, mask in keep.items() if not mask.all()},
     }
     out_slides = [transform_slide(s, manifest) for s in slides]
     return ProcessedDataset(slides=out_slides, gene_names=out_slides[0].gene_names, manifest=manifest)

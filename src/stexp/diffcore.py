@@ -5,10 +5,12 @@ The graph is built dynamically from a fixed, minimal primitive set:
     matmul, add, scale, row_softmax, l2_normalize_rows, transpose, concat,
     conv2d, relu, gelu, mean, cross_entropy_with_index_targets
 
-Everything else in the model is composed from these. Each primitive knows
-its own exact reverse-mode rule, and ``grad_check`` verifies any graph
-against central finite differences, which stay fully independent of the
-backward implementations.
+Everything else in the model is composed from these, and the model graph
+in ``encoders`` and ``contrastive`` calls each of them. ``conv2d`` takes its
+per-channel bias as a required operand: every conv layer has one. Each
+primitive knows its own exact reverse-mode rule, and ``grad_check``
+verifies any graph against central finite differences, which stay fully
+independent of the backward implementations.
 
 Training runs in float32; verification clones everything to float64 first
 (finite differences are noise-dominated in 32-bit).
@@ -87,14 +89,13 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.shape}, dtype={self.data.dtype})"
 
 
-def constant(data, dtype=None) -> Tensor:
+def constant(data) -> Tensor:
     """Wrap an array as a non-differentiable leaf."""
-    arr = np.asarray(data, dtype=dtype)
-    return Tensor(arr, op="const")
+    return Tensor(data, op="const")
 
 
-def _as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else constant(x, dtype=dtype)
+def _as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else constant(x)
 
 
 def _result(data, parents, grad_fn, op) -> Tensor:
@@ -230,9 +231,9 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
     return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, ho * wo, kh * kw * c)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1, padding: int = 0,
+def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1, padding: int = 0,
            cols: np.ndarray | None = None) -> Tensor:
-    """2-D convolution (cross-correlation) over [N, C, H, W] with optional per-channel bias.
+    """2-D convolution (cross-correlation) over [N, C, H, W] plus a per-channel bias b [Cout].
 
     Lowered to im2col plus flat 2-D GEMMs (Chellapilla et al., 2006). ``im2col``
     pads the input once into a zeroed channels-last buffer and fills ``cols``
@@ -242,7 +243,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1, pa
     [N, Ho*Wo, K]; it is checked against x and the kernel. The three products
     are each one GEMM:
 
-        out   = cols @ w_mat.T      [N*L, Cout], returned as contiguous NCHW
+        out   = cols @ w_mat.T + b  [N*L, Cout], returned as contiguous NCHW
         dW    = g_flat.T @ cols     [Cout, K]
         dcols = g_flat @ w_mat      [N*L, K], scattered back by kh*kw strided adds
 
@@ -259,7 +260,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1, pa
     c_out, c_in_w, kh, kw = w.shape
     if c_in != c_in_w:
         raise GraphError(f"conv2d: channel mismatch, input {c_in} vs kernel {c_in_w}")
-    if b is not None and b.shape != (c_out,):
+    if b.shape != (c_out,):
         raise GraphError(f"conv2d: bias shape {b.shape} != ({c_out},)")
     if stride < 1 or padding < 0:
         raise GraphError("conv2d: stride must be >= 1 and padding >= 0")
@@ -273,13 +274,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1, pa
     elif cols.shape != (n, ho * wo, kh * kw * c_in) or cols.dtype != x.dtype:
         raise GraphError(f"conv2d: cols {cols.shape} {cols.dtype} is not the lowering of input {x.shape} "
                          f"{x.dtype} for a {kh}x{kw} kernel (stride={stride}, padding={padding})")
-    parents = (x, w) if b is None else (x, w, b)
-    dtype = np.result_type(*(t.data for t in parents))
+    dtype = np.result_type(x.data, w.data, b.data)
     cols = cols.reshape(n * ho * wo, kh * kw * c_in).astype(dtype, copy=False)
     w_mat = w.data.transpose(0, 2, 3, 1).reshape(c_out, -1)
     out = cols @ w_mat.T  # [N*L, Cout]
-    if b is not None:
-        out += b.data
+    out += b.data  # in place: no second [N*L, Cout] array
     out = np.ascontiguousarray(out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2))
 
     def grad_fn(g):
@@ -293,11 +292,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1, pa
                 for j in range(kw):
                     dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, :, :, i, j]
             dx = dxp[:, padding : padding + h, padding : padding + wd].transpose(0, 3, 1, 2)
-        if b is None:
-            return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))
 
-    return _result(out, parents, grad_fn, "conv2d")
+    return _result(out, (x, w, b), grad_fn, "conv2d")
 
 
 def relu(x: Tensor) -> Tensor:
@@ -329,13 +326,9 @@ def mean(x: Tensor, axis: tuple[int, ...] | None = None) -> Tensor:
     out = np.mean(x.data, axis=axis)
     count = x.size if axis is None else int(np.prod([x.shape[a] for a in axis]))
 
-    def grad_fn(g):
-        if axis is None:
-            return (np.full(x.shape, g / count, dtype=x.data.dtype),)
-        g_exp = np.asarray(g)
-        for a in sorted(axis):
-            g_exp = np.expand_dims(g_exp, a)
-        return (np.broadcast_to(g_exp.astype(x.data.dtype, copy=False) / count, x.shape),)
+    def grad_fn(g):  # g gets back the reduced axes as size-1 axes, then one read-only view spreads g / count
+        g_exp = np.expand_dims(g, () if axis is None else axis).astype(x.data.dtype, copy=False)
+        return (np.broadcast_to(g_exp / count, x.shape),)
 
     return _result(out, (x,), grad_fn, "mean")
 
@@ -400,9 +393,7 @@ def backward(root: Tensor) -> dict[int, np.ndarray]:
     if root.size != 1:
         raise GraphError(f"backward: root must be scalar, got shape {root.shape}")
     order = _topo_order(root)
-    grads: dict[int, np.ndarray] = {
-        id(root): np.ones_like(root.data) if root.data.ndim else np.asarray(1.0, dtype=root.data.dtype)
-    }
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
     for node in reversed(order):
         g = grads.get(id(node))
         if g is None or node.grad_fn is None:

@@ -74,9 +74,9 @@ class EncoderConfig:
         return int(sum(self.conv_channels))
 
 
-def _uniform(rng: np.random.Generator, fan_in: int, shape, dtype=np.float32) -> np.ndarray:
+def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 def init_params(cfg: EncoderConfig, seed: int) -> ParamSet:

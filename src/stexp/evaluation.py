@@ -62,11 +62,10 @@ def _neg_log10_p(r: float, s: int) -> float:
     return min(NEG_LOG10_P_CAP, -np.log10(p))
 
 
-def heg_indices(obs: np.ndarray, size: int = HEG_SIZE) -> np.ndarray:
-    """Genes with the largest mean observed expression (ties: lower index)."""
+def heg_indices(obs: np.ndarray) -> np.ndarray:
+    """The HEG_SIZE genes with the largest mean observed expression, or every gene if fewer (ties: lower index)."""
     means = np.asarray(obs, dtype=np.float64).mean(axis=0)
-    order = np.lexsort((np.arange(means.shape[0]), -means))
-    return order[: min(size, means.shape[0])]
+    return np.lexsort((np.arange(means.shape[0]), -means))[:HEG_SIZE]
 
 
 def compute_metrics(

@@ -34,10 +34,11 @@ from pathlib import Path
 import numpy as np
 
 from . import encoders as enc
-from .contrastive import Checkpoint, _check_unit_rows
+from .contrastive import Checkpoint
 from .data import Slide, read_blob, read_json
 
 NEAR_ZERO_DISTANCE = 1e-8  # below this, the nearest neighbor is returned verbatim
+UNIT_NORM_TOL = 1e-5  # an index row's norm may differ from 1 by this much
 # Cap on one block's [rows x queries] score tile: 8,192 index rows at 128 queries.
 SEARCH_BLOCK_BYTES = 4 << 20
 # Rows per strip when the first block's tile is transposed: each strip's reads and writes stay in cache.
@@ -46,6 +47,13 @@ TRANSPOSE_STRIP_ROWS = 256
 
 class LeakageError(ValueError):
     """Raised when a slide being predicted is present in the reference index."""
+
+
+def _check_unit_rows(h: np.ndarray, name: str) -> None:
+    norms = np.sqrt(np.einsum("ij,ij->i", h, h, dtype=np.float64))  # float64 sums, no float64 copy of h
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # a NaN norm fails too
+    if bad.size:
+        raise ValueError(f"{name}: row {int(bad[0])} has norm {norms[bad[0]]:.6f}, expected 1 +/- {UNIT_NORM_TOL}")
 
 
 @dataclass

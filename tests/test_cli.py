@@ -239,6 +239,32 @@ def _without(key: str):
     return drop
 
 
+def _set(dotted: str, value):
+    """Set a nested key of a JSON file (list items by position), or delete it when value is None."""
+    def edit(path: Path) -> None:
+        root = json.loads(path.read_text())
+        *parents, key = dotted.split(".")
+        node = root
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+        path.write_text(json.dumps(root))
+
+    edit.__name__ = f"without_{dotted}" if value is None else f"{dotted}={value}"
+    return edit
+
+
+# (corruption of ck/manifest.json, the field its error names); entry 0 is attn.h0.wk, an [8, 4] tensor
+CHECKPOINT_FIELD_CORRUPTIONS = [
+    (_set("preprocess.target_sum", 5000), "preprocess.target_sum"),
+    (_set("preprocess.transform", "sqrt"), "preprocess.transform"),
+    (_set("preprocess.transform", None), "preprocess.transform"),
+    (_set("params.dtype", "<i4"), "params.dtype"),
+    (_set("params.entries.0.shape", [9, 4]), "attn.h0.wk"),
+]
 # (artifact under the pipeline root, corruption)
 ARTIFACT_CORRUPTIONS = [
     ("ck/manifest.json", Path.unlink),
@@ -254,6 +280,7 @@ ARTIFACT_CORRUPTIONS = [
     ("ck/manifest.json", _without("preprocess")),
     ("idx/provenance.json", _without("entries")),
     ("pred/meta.json", _without("slide_id")),
+    *(("ck/manifest.json", corrupt) for corrupt, _ in CHECKPOINT_FIELD_CORRUPTIONS),
 ]
 # the artifact directories each command reads
 COMMAND_READS = {"embed": ("ck",), "predict": ("ck", "idx"), "eval": ("ck", "pred")}
@@ -287,6 +314,24 @@ class TestArtifactCorruption:
         assert str(tmp_path / artifact) in capsys.readouterr().err
         assert not out.exists()
         assert not list(tmp_path.glob(".tmp-*"))
+
+    @pytest.mark.parametrize("corrupt, field", CHECKPOINT_FIELD_CORRUPTIONS,
+                             ids=[corrupt.__name__ for corrupt, _ in CHECKPOINT_FIELD_CORRUPTIONS])
+    @pytest.mark.parametrize("command", ["embed", "predict"])
+    def test_checkpoint_field_error_names_the_field_before_any_embedding(self, pipeline, tmp_path, capsys,
+                                                                          monkeypatch, command, corrupt, field):
+        root, cfg = pipeline
+        for name in ("ck", "idx"):
+            shutil.copytree(root / name, tmp_path / name)
+        corrupt(tmp_path / "ck" / "manifest.json")
+        for name in ("embed_patches", "embed_spots"):
+            monkeypatch.setattr(cli.inference.enc, name, lambda *a, **k: pytest.fail("embedding before the check"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), *command_args(command, tmp_path, root / "data"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'ck' / 'manifest.json'}: " in err and field in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, slide_id", [("embed", "slide_000"), ("predict", "slide_001"),
                                                    ("eval", "slide_001")])

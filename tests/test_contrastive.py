@@ -347,7 +347,8 @@ class TestCheckpointRoundTrip:
 def _write_checkpoint_dir(directory, sections: dict):
     """A parameterless checkpoint directory whose manifest holds `sections`; returns the directory."""
     directory.mkdir()
-    manifest = {**sections, "preprocess": {}, "params": {"dtype": "<f4", "total_bytes": 0, "entries": []}}
+    manifest = {**sections, "preprocess": {"target_sum": 10000.0, "transform": "log1p"},
+                "params": {"dtype": "<f4", "total_bytes": 0, "entries": []}}
     (directory / "manifest.json").write_text(json.dumps(manifest))
     (directory / "params.f32").write_bytes(b"")
     return directory

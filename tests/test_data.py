@@ -351,3 +351,19 @@ def test_checkpoint_settings_are_parsed_once_when_it_loads():
     assert _owners("_manifest_config(") == [("contrastive", "_manifest_config"), load, load]
     # a checkpoint holds typed settings; the only manifest read by key is a ProcessedDataset's own
     assert _owners(".manifest[") == [("data", "train_slides"), ("data", "test_slides")]
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    """A `_name` stays in its module: no relative import of one, and no `module._name` through a module alias."""
+    reached = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level
+                   and n.module is None for a in n.names}  # from . import diffcore as dc
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                reached += [(path.stem, a.name) for a in node.names if a.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases and node.attr.startswith("_")):
+                reached.append((path.stem, f"{node.value.id}.{node.attr}"))
+    assert reached == []

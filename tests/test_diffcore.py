@@ -4,6 +4,9 @@ The finite-difference oracle lives in ``grad_check`` itself and never calls
 into the backward rules it is checking.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -161,10 +164,11 @@ class TestLowering:
     def test_conv2d_rejects_cols_that_are_not_the_lowering(self, cols_shape, dtype):
         x = dc.constant(np.ones((2, 3, 5, 7)))
         w = dc.constant(np.ones((4, 3, 2, 3)))
+        b = dc.constant(np.ones(4))
         want = dc.im2col(x.data, 2, 3, 2, 1)  # the shape and dtype the cases differ from
         assert (want.shape, want.dtype) == ((2, 12, 18), np.float64)
         with pytest.raises(dc.GraphError, match="conv2d"):
-            dc.conv2d(x, w, stride=2, padding=1, cols=np.ones(cols_shape, dtype=dtype))
+            dc.conv2d(x, w, b, stride=2, padding=1, cols=np.ones(cols_shape, dtype=dtype))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -193,7 +197,7 @@ class TestShapeErrors:
         x = dc.constant(np.ones((1, 3, 8, 8)))
         w = dc.constant(np.ones((4, 2, 3, 3)))
         with pytest.raises(dc.GraphError, match="conv2d"):
-            dc.conv2d(x, w)
+            dc.conv2d(x, w, dc.constant(np.ones(4)))
 
     def test_non_scalar_loss_rejected(self):
         ps = _params_from({"w": np.ones((2, 2))})
@@ -339,8 +343,9 @@ class TestGradCheckPrimitives:
             {"w": rng.standard_normal((4, 3, 3, 3)) * 0.5, "b": rng.standard_normal(4) * 0.1},
             [x],
         )
-        out = dc.conv2d(dc.constant(x), dc.Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True))
-        dx, dw = out.grad_fn(np.ones(out.shape))
+        out = dc.conv2d(dc.constant(x), dc.Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True),
+                        dc.constant(np.zeros(4)))
+        dx, dw, _ = out.grad_fn(np.ones(out.shape))
         assert dx is None and dw.shape == (4, 3, 3, 3)
 
     def test_relu_away_from_kink(self):
@@ -431,3 +436,26 @@ class TestRandomizedPrimitiveProperties:
 
             report = dc.grad_check(graph, ps, [x], eps=1e-5, tol=1e-4)
             assert report.passed, f"trial {trial}:\n{report}"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "stexp"
+
+
+def test_every_primitive_is_called_by_the_model_graph():
+    """Each exported function that records a graph node (calls _result) is called as dc.<name> in encoders or
+    contrastive, so no primitive is kept alive by the grad-check suite alone."""
+    tree = ast.parse((SRC / "diffcore.py").read_text())
+    primitives = {
+        f.name for f in tree.body
+        if isinstance(f, ast.FunctionDef) and f.name in dc.__all__
+        and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_result" for n in ast.walk(f))
+    }
+    assert {"conv2d", "mean", "cross_entropy_with_index_targets"} <= primitives
+    called = {
+        n.func.attr
+        for module in ("encoders", "contrastive")
+        for n in ast.walk(ast.parse((SRC / f"{module}.py").read_text()))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and isinstance(n.func.value, ast.Name) and n.func.value.id == "dc"
+    }
+    assert sorted(primitives - called) == []

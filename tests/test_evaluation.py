@@ -86,7 +86,7 @@ class TestHeg:
         rng = np.random.default_rng(5)
         obs = rng.random((12, 60))
         obs[:, 10] = obs[:, 20]  # tie in mean: lower index wins
-        idx = heg_indices(obs, size=50)
+        idx = heg_indices(obs)
         assert len(idx) == 50
         assert len(set(idx.tolist())) == 50
         assert list(idx).index(10) < list(idx).index(20) if 20 in idx else True
