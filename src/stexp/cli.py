@@ -410,10 +410,10 @@ def cmd_eval(args) -> int:
 
 def cmd_loocv(args) -> int:
     config = resolve_config(args)
-    train_cfg = config_object(config, TrainConfig, seed=config["seed"])
+    train_cfg, k = config_object(config, TrainConfig, seed=config["seed"]), config["inference"]["k"]
     slides = load_dataset(args.data)
     records = ev.loocv(slides, hvg_num=config["data"]["hvg_num"], train_cfg=train_cfg,
-                       enc_cfg=_encoder_config(config, slides), k=config["inference"]["k"])
+                       enc_cfg=_encoder_config(config, slides), ks=(k,))[k]
     with atomic_out_dir(args.out) as staging:
         ev.write_metrics_tsv(records, staging / "metrics.tsv")
         for record in records[:-1]:
@@ -450,20 +450,17 @@ def cmd_ablate(args) -> int:
             raise ValidationError(f"--toggles: unknown toggle {toggle!r} (choose from {tuple(ABLATION_TOGGLES)})")
     train_cfg = config_object(config, TrainConfig, seed=config["seed"])
     slides = load_dataset(args.data)
-    for k_value in k_values:  # before the full variant trains
-        ev.check_loocv_k(slides, k_value)
-
     enc_cfg, k = _encoder_config(config, slides), config["inference"]["k"]
-    variants = [("full", enc_cfg, k)]
-    variants += [(toggle, dataclasses.replace(enc_cfg, **ABLATION_TOGGLES[toggle]), k) for toggle in toggles]
-    variants += [(f"k={k_value}", enc_cfg, k_value) for k_value in k_values]
+    variants = [("full", enc_cfg, (k, *k_values))]  # one LOOCV per model; the k= rows score full's folds
+    variants += [(toggle, dataclasses.replace(enc_cfg, **ABLATION_TOGGLES[toggle]), (k,)) for toggle in toggles]
 
-    rows = []
-    for name, variant_cfg, variant_k in variants:
+    results = {}
+    for name, variant_cfg, ks in variants:
         log.info("ablation variant %s", name)
-        records = ev.loocv(slides, hvg_num=config["data"]["hvg_num"], train_cfg=train_cfg,
-                           enc_cfg=variant_cfg, k=variant_k)
-        rows.append((name, records[-1]))
+        results[name] = ev.loocv(slides, hvg_num=config["data"]["hvg_num"], train_cfg=train_cfg,
+                                 enc_cfg=variant_cfg, ks=ks)
+    rows = [(name, records[k][-1]) for name, records in results.items()]
+    rows += [(f"k={k_value}", results["full"][k_value][-1]) for k_value in k_values]
     with atomic_out_dir(args.out) as staging:
         lines = ["variant\tpcc_acg\tpcc_heg\tmse\tmae"]
         for name, m in rows:

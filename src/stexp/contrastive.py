@@ -179,16 +179,44 @@ def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
     write_json(directory / "manifest.json", manifest)
 
 
+# The manifest sections and the keys of each that a checkpoint's readers use: {section: required keys}
+_MANIFEST_KEYS = {
+    "encoder": (),
+    "train": (),
+    "preprocess": (*PREPROCESS_TRANSFORM, "hvg_indices", "train_ids"),
+    "params": ("dtype", "total_bytes", "entries"),
+}
+_PARAMS_ENTRY_KEYS = ("name", "shape", "offset", "nbytes")
+
+
+def _require_object(value, dotted: str, keys: tuple[str, ...], path: Path) -> None:
+    """Refuse a manifest field `dotted` that is not a JSON object holding every one of `keys`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: field {dotted} is a {type(value).__name__}, not an object")
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"{path}: missing key {dotted}.{key}")
+
+
 def load_checkpoint(directory: str | Path) -> Checkpoint:
-    """Read a checkpoint, refusing a preprocessing transform other than PREPROCESS_TRANSFORM or a non-<f4 layout."""
+    """Read a checkpoint, refusing a preprocessing transform other than PREPROCESS_TRANSFORM or a non-<f4 layout.
+
+    Every section and key that a checkpoint's readers use is checked first, so
+    a manifest that lacks one is a ValueError naming the file and the dotted field.
+    """
     directory = Path(directory)
     path = directory / "manifest.json"
-    manifest = read_json(path, required=("encoder", "train", "preprocess", "params"))
+    manifest = read_json(path, required=tuple(_MANIFEST_KEYS))
+    for section, keys in _MANIFEST_KEYS.items():
+        _require_object(manifest[section], section, keys, path)
+    entries = manifest["params"]["entries"]
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: field params.entries is a {type(entries).__name__}, not a list")
+    for i, entry in enumerate(entries):
+        _require_object(entry, f"params.entries.{i}", _PARAMS_ENTRY_KEYS, path)
     enc_cfg = _manifest_config(enc.EncoderConfig, manifest, "encoder", path)
     train_cfg = _manifest_config(TrainConfig, manifest, "train", path)
     for key, implemented in PREPROCESS_TRANSFORM.items():
-        if key not in manifest["preprocess"]:
-            raise ValueError(f"{path}: missing key preprocess.{key}")
         if manifest["preprocess"][key] != implemented:
             raise ValueError(f"{path}: field preprocess.{key}={manifest['preprocess'][key]!r} is not supported "
                              f"(only {implemented!r})")
@@ -198,7 +226,7 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
     blob = read_blob(directory / "params.f32", "u1", (layout["total_bytes"],))
     params = ParamSet()
     expected_offset = 0
-    for entry in layout["entries"]:
+    for entry in entries:
         if entry["offset"] != expected_offset:
             raise ValueError(f"{path}: offsets do not tile the blob at {entry['name']}")
         if entry["nbytes"] != 4 * int(np.prod(entry["shape"])):

@@ -121,6 +121,21 @@ def fold_seed(seed: int, fold_index: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(fold_index,)).generate_state(1)[0])
 
 
+def _fold(slides: list[Slide], test_id: str, hvg_num: int, train_cfg: TrainConfig, enc_cfg: EncoderConfig,
+          ks: tuple[int, ...], seed: int) -> tuple[dict[int, MetricsRecord], Checkpoint]:
+    """Train once on every slide but test_id, then predict and score it at each distinct k in ks."""
+    train_ids = [s.slide_id for s in slides if s.slide_id != test_id]
+    dataset = preprocess(slides, hvg_num=hvg_num, train_ids=train_ids)
+    checkpoint = fit(dataset, replace(train_cfg, seed=seed), enc_cfg)
+    index = inference.build_index(checkpoint, dataset.train_slides())
+    test_slide = dataset.get(test_id)
+    records = {}
+    for k in dict.fromkeys(ks):
+        pred = inference.predict_slide(checkpoint, index, test_slide, k)
+        records[k] = compute_metrics(pred, test_slide.expression, slide_id=test_id, gene_names=dataset.gene_names)
+    return records, checkpoint
+
+
 def run_fold(
     slides: list[Slide],
     test_id: str,
@@ -130,25 +145,9 @@ def run_fold(
     k: int,
     seed: int,
 ) -> tuple[MetricsRecord, Checkpoint]:
-    """Train on every slide but test_id, predict it, and score it."""
-    train_ids = [s.slide_id for s in slides if s.slide_id != test_id]
-    dataset = preprocess(slides, hvg_num=hvg_num, train_ids=train_ids)
-    cfg = replace(train_cfg, seed=seed)
-    checkpoint = fit(dataset, cfg, enc_cfg)
-    index = inference.build_index(checkpoint, dataset.train_slides())
-    test_slide = dataset.get(test_id)
-    pred = inference.predict_slide(checkpoint, index, test_slide, k)
-    record = compute_metrics(
-        pred, test_slide.expression, slide_id=test_id, gene_names=dataset.gene_names
-    )
-    return record, checkpoint
-
-
-def check_loocv_k(slides: list[Slide], k: int) -> None:
-    """Reject a k outside [1, the smallest fold's training spot count] before any fold trains."""
-    train_spots = sum(s.spot_num for s in slides) - max(s.spot_num for s in slides)
-    if not 1 <= k <= train_spots:
-        raise ValueError(f"loocv: k={k} outside [1, {train_spots}], the smallest fold's training spot count")
+    """One LOOCV fold at one k: train on every slide but test_id, predict it, and score it."""
+    records, checkpoint = _fold(slides, test_id, hvg_num, train_cfg, enc_cfg, (k,), seed)
+    return records[k], checkpoint
 
 
 def loocv(
@@ -156,20 +155,24 @@ def loocv(
     hvg_num: int,
     train_cfg: TrainConfig,
     enc_cfg: EncoderConfig,
-    k: int,
-) -> list[MetricsRecord]:
-    """One fold per slide plus a final mean row (per-fold seeds derived from the config seed)."""
+    ks: tuple[int, ...],
+) -> dict[int, list[MetricsRecord]]:
+    """{k: one record per fold plus a final mean row}; each fold trains once and is scored at every k in ks.
+
+    Per-fold seeds derive from the config seed. Every k is checked before any fold trains.
+    """
     if len(slides) < 2:
         raise ValueError("loocv: need at least 2 slides")
-    check_loocv_k(slides, k)
-    records = []
+    train_spots = sum(s.spot_num for s in slides) - max(s.spot_num for s in slides)
+    for k in ks:
+        if not 1 <= k <= train_spots:
+            raise ValueError(f"loocv: k={k} outside [1, {train_spots}], the smallest fold's training spot count")
+    folds = []
     for fold, slide in enumerate(slides):
-        seed = fold_seed(train_cfg.seed, fold)
         log.info("loocv fold %d/%d: test slide %s", fold + 1, len(slides), slide.slide_id)
-        record, _ = run_fold(slides, slide.slide_id, hvg_num, train_cfg, enc_cfg, k, seed)
-        records.append(record)
-    records.append(mean_record(records))
-    return records
+        folds.append(_fold(slides, slide.slide_id, hvg_num, train_cfg, enc_cfg, ks, fold_seed(train_cfg.seed, fold))[0])
+    records = {k: [fold[k] for fold in folds] for k in ks}
+    return {k: [*rows, mean_record(rows)] for k, rows in records.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +304,8 @@ def write_per_gene_tsv(record: MetricsRecord, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_labels_tsv(labels: np.ndarray, path: str | Path, truth: np.ndarray | None = None) -> None:
-    header = "spot\tlabel" + ("\ttruth" if truth is not None else "")
-    lines = [header]
+def write_labels_tsv(labels: np.ndarray, path: str | Path, truth: np.ndarray) -> None:
+    lines = ["spot\tlabel\ttruth"]
     for i, lab in enumerate(labels):
-        row = f"{i}\t{int(lab)}"
-        if truth is not None:
-            row += f"\t{int(truth[i])}"
-        lines.append(row)
+        lines.append(f"{i}\t{int(lab)}\t{int(truth[i])}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -264,6 +264,17 @@ CHECKPOINT_FIELD_CORRUPTIONS = [
     (_set("preprocess.transform", None), "preprocess.transform"),
     (_set("params.dtype", "<i4"), "params.dtype"),
     (_set("params.entries.0.shape", [9, 4]), "attn.h0.wk"),
+    # a missing or mistyped nested field, named by its dotted path
+    (_set("preprocess.hvg_indices", None), "preprocess.hvg_indices"),
+    (_set("preprocess.train_ids", None), "preprocess.train_ids"),
+    (_set("params.dtype", None), "params.dtype"),
+    (_set("params.total_bytes", None), "params.total_bytes"),
+    (_set("params.entries", None), "params.entries"),
+    (_set("params.entries", 7), "params.entries"),
+    *((_set(f"params.entries.0.{key}", None), f"params.entries.0.{key}")
+      for key in ("name", "shape", "offset", "nbytes")),
+    (_set("encoder", []), "encoder"),
+    (_set("train", []), "train"),
 ]
 # (artifact under the pipeline root, corruption)
 ARTIFACT_CORRUPTIONS = [
@@ -384,6 +395,22 @@ class TestAblate:
         assert set(table) == {"full", "no_image_path", "no_positional_encoding", "k=1", "k=5", "k=24"}
         mean_row = (tmp_path / "cv" / "metrics.tsv").read_text().strip().split("\n")[-1].split("\t")[1:]
         assert table["full"] == mean_row
+        assert table["k=5"] == table["full"]  # the config's own k
+        for k in (1, 24):  # each k= row is the full model's LOOCV at that k
+            assert main(["loocv", "--config", str(cfg), "--seed", "9", "--data", str(tmp_path / "d"),
+                         "--set", f"inference.k={k}", "--out", str(tmp_path / f"cv{k}")]) == 0
+            mean_row = (tmp_path / f"cv{k}" / "metrics.tsv").read_text().strip().split("\n")[-1].split("\t")[1:]
+            assert table[f"k={k}"] == mean_row, k
+
+    def test_each_model_trains_once_per_fold(self, pipeline, tmp_path, monkeypatch):
+        root, cfg = pipeline
+        fits = []
+        real_fit = cli.ev.fit
+        monkeypatch.setattr(cli.ev, "fit", lambda *a, **k: fits.append(1) or real_fit(*a, **k))
+        assert main(["ablate", "--config", str(cfg), "--data", str(root / "data"),
+                     "--toggles", "no_mhsa", "--k-sweep", "1,5", "--out", str(tmp_path / "ab")]) == 0
+        slides = len(list((root / "data").glob("slide_*")))
+        assert len(fits) == (1 + 1) * slides  # full and no_mhsa; the k= rows reuse full's folds
 
     def test_empty_toggles_rejected(self, tmp_path):
         cfg = micro_config(tmp_path)
@@ -413,20 +440,25 @@ class TestAblate:
         root, cfg = pipeline
         calls = []
 
-        def loocv(slides, **kwargs):
+        def loocv(slides, **kwargs):  # each mean row records the call that made it (pcc_acg) and its k (mse)
             calls.append(kwargs)
-            return [SimpleNamespace(pcc_acg=0.0, pcc_heg=0.0, mse=0.0, mae=0.0)]
+            return {k: [SimpleNamespace(pcc_acg=len(calls) - 1, pcc_heg=0.0, mse=k, mae=0.0)] for k in kwargs["ks"]}
 
         monkeypatch.setattr(cli.ev, "loocv", loocv)
         assert main(["ablate", "--config", str(cfg), "--data", str(root / "data"),
                      "--toggles", "no_positional_encoding,no_mhsa,no_image_path", "--k-sweep", "1,5",
                      "--out", str(tmp_path / "ab")]) == 0
+        assert len(calls) == 1 + len(cli.ABLATION_TOGGLES)
         full = calls[0]
-        assert full["k"] == 5 and all(call["train_cfg"] == full["train_cfg"] for call in calls)
-        for call, changes in zip(calls[1:4], cli.ABLATION_TOGGLES.values()):
+        assert full["ks"] == (5, 1, 5) and all(call["train_cfg"] == full["train_cfg"] for call in calls)
+        for call, changes in zip(calls[1:], cli.ABLATION_TOGGLES.values()):
             assert call["enc_cfg"] == dataclasses.replace(full["enc_cfg"], **changes) != full["enc_cfg"]
-            assert call["k"] == 5
-        assert [(call["enc_cfg"], call["k"]) for call in calls[4:]] == [(full["enc_cfg"], 1), (full["enc_cfg"], 5)]
+            assert call["ks"] == (5,)
+        table = [line.split("\t") for line in (tmp_path / "ab" / "ablation.tsv").read_text().split("\n")[1:-1]]
+        made_by = {name: (float(call), float(k)) for name, call, _, k, _ in table}  # (loocv call index, k)
+        assert [row[0] for row in table] == ["full", *cli.ABLATION_TOGGLES, "k=1", "k=5"]
+        assert made_by == {"full": (0, 5), **{name: (i, 5) for i, name in enumerate(cli.ABLATION_TOGGLES, 1)},
+                           "k=1": (0, 1), "k=5": (0, 5)}
 
     def test_unknown_toggle_rejected(self, tmp_path):
         cfg = micro_config(tmp_path)
@@ -751,7 +783,7 @@ class TestSchema:
                 _, kw = received["loocv"]
                 return {**{f"EncoderConfig.{k}": v for k, v in dataclasses.asdict(kw["enc_cfg"]).items()},
                         **{f"TrainConfig.{k}": v for k, v in dataclasses.asdict(kw["train_cfg"]).items()},
-                        "hvg_num": kw["hvg_num"], "k": kw["k"]}
+                        "hvg_num": kw["hvg_num"], "k": kw["ks"][0]}
             (_, clusters, pca_components, seed), _ = received["detect_domains"]
             return {"clusters": clusters, "pca_components": pca_components, "seed": seed}
 

@@ -347,7 +347,8 @@ class TestCheckpointRoundTrip:
 def _write_checkpoint_dir(directory, sections: dict):
     """A parameterless checkpoint directory whose manifest holds `sections`; returns the directory."""
     directory.mkdir()
-    manifest = {**sections, "preprocess": {"target_sum": 10000.0, "transform": "log1p"},
+    manifest = {**sections,
+                "preprocess": {"target_sum": 10000.0, "transform": "log1p", "hvg_indices": [], "train_ids": []},
                 "params": {"dtype": "<f4", "total_bytes": 0, "entries": []}}
     (directory / "manifest.json").write_text(json.dumps(manifest))
     (directory / "params.f32").write_bytes(b"")

@@ -309,7 +309,7 @@ MICRO_TRAIN = TrainConfig(batch_size=8, epochs=3, learning_rate=2e-3, temperatur
 
 class TestLoocv:
     def test_rows_and_mean(self, micro_dataset):
-        records = loocv(micro_dataset, hvg_num=8, train_cfg=MICRO_TRAIN, enc_cfg=MICRO_ENC, k=5)
+        records = loocv(micro_dataset, hvg_num=8, train_cfg=MICRO_TRAIN, enc_cfg=MICRO_ENC, ks=(5,))[5]
         assert len(records) == len(micro_dataset) + 1
         assert records[-1].slide_id == "mean"
         for col in ("pcc_acg", "pcc_heg", "mse", "mae"):
@@ -317,7 +317,7 @@ class TestLoocv:
             assert getattr(records[-1], col) == pytest.approx(want, abs=1e-9)
 
     def test_folds_equal_independent_runs(self, micro_dataset):
-        records = loocv(micro_dataset, hvg_num=8, train_cfg=MICRO_TRAIN, enc_cfg=MICRO_ENC, k=5)
+        records = loocv(micro_dataset, hvg_num=8, train_cfg=MICRO_TRAIN, enc_cfg=MICRO_ENC, ks=(5,))[5]
         for fold, slide in enumerate(micro_dataset):
             seed = fold_seed(MICRO_TRAIN.seed, fold)
             single, _ = run_fold(
@@ -328,7 +328,7 @@ class TestLoocv:
 
     def test_needs_two_slides(self, micro_dataset):
         with pytest.raises(ValueError, match="2 slides"):
-            loocv(micro_dataset[:1], hvg_num=8, train_cfg=MICRO_TRAIN, enc_cfg=MICRO_ENC, k=5)
+            loocv(micro_dataset[:1], hvg_num=8, train_cfg=MICRO_TRAIN, enc_cfg=MICRO_ENC, ks=(5,))[5]
 
 
 class TestDomainDetection:
