@@ -181,12 +181,9 @@ def resolve_config(args) -> dict:
     """
     config = default_config()
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ValidationError(f"config file not found: {path}")
-        tree = json.loads(path.read_text())
+        tree = read_json(args.config)
         if not isinstance(tree, dict):
-            raise ValidationError(f"config file {path} must hold a JSON object")
+            raise ValidationError(f"config file {args.config} must hold a JSON object")
         for dotted, value in _leaves(tree):
             _assign(config, dotted, value)
     for assignment in getattr(args, "set", None) or []:
@@ -241,14 +238,15 @@ def check_out_dir(out: str | Path) -> None:
 
 
 @contextmanager
-def atomic_out_dir(out: str | Path):
-    """Yield a staging directory that is renamed to `out` only on success."""
+def atomic_out_dir(out: str | Path, config: dict):
+    """Yield a staging directory, holding the resolved `config`'s echo, that is renamed to `out` only on success."""
     out = Path(out)
     check_out_dir(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     staging = out.parent / f".tmp-{out.name}-{uuid.uuid4().hex[:8]}"
     staging.mkdir()
     try:
+        write_json(staging / "config.resolved.json", config)
         yield staging
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
@@ -256,10 +254,6 @@ def atomic_out_dir(out: str | Path):
     if out.exists():
         out.rmdir()
     os.replace(staging, out)
-
-
-def _write_config_echo(directory: Path, config: dict) -> None:
-    write_json(directory / "config.resolved.json", config)
 
 
 def _strict_json(value):
@@ -287,12 +281,10 @@ def _write_divergence_snapshot(out: str | Path, snapshot: dict) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_data(args) -> int:
-    config = resolve_config(args)
+def cmd_gen_data(args, config) -> int:
     gen_cfg = config_object(config, GenConfig)
-    with atomic_out_dir(args.out) as staging:
+    with atomic_out_dir(args.out, config) as staging:
         synth_generate(gen_cfg, config["seed"], staging)
-        _write_config_echo(staging, config)
     print(f"wrote dataset to {args.out}")
     return 0
 
@@ -300,34 +292,30 @@ def cmd_gen_data(args) -> int:
 def _prepare_training(args, config):
     slides = load_dataset(args.data)
     ids = [s.slide_id for s in slides]
-    holdout = getattr(args, "holdout", None)
-    if holdout is not None and holdout not in ids:
-        raise ValidationError(f"--holdout {holdout!r} is not a slide of {args.data}")
-    train_ids = [i for i in ids if i != holdout]
+    if args.holdout is not None and args.holdout not in ids:
+        raise ValidationError(f"--holdout {args.holdout!r} is not a slide of {args.data}")
+    train_ids = [i for i in ids if i != args.holdout]
     enc_cfg = _encoder_config(config, slides)
     dataset = preprocess(slides, hvg_num=config["data"]["hvg_num"], train_ids=train_ids)
     return dataset, enc_cfg
 
 
-def cmd_train(args) -> int:
-    config = resolve_config(args)
+def cmd_train(args, config) -> int:
     train_cfg = config_object(config, TrainConfig, seed=config["seed"])
     dataset, enc_cfg = _prepare_training(args, config)
     checkpoint = fit(dataset, train_cfg, enc_cfg)
-    with atomic_out_dir(args.out) as staging:
+    with atomic_out_dir(args.out, config) as staging:
         save_checkpoint(checkpoint, staging)
         curve = ["epoch\tmean_loss"] + [
             f"{i}\t{loss:.6f}" for i, loss in enumerate(checkpoint.history)
         ]
         (staging / "loss_curve.tsv").write_text("\n".join(curve) + "\n")
-        _write_config_echo(staging, config)
     print(f"trained {checkpoint.train_config.epochs} epochs, final loss "
           f"{checkpoint.history[-1]:.6f}; checkpoint at {args.out}")
     return 0
 
 
-def cmd_embed(args) -> int:
-    config = resolve_config(args)
+def cmd_embed(args, config) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     slides = load_dataset(args.data)
     train_ids = set(checkpoint.preprocess["train_ids"])
@@ -335,22 +323,20 @@ def cmd_embed(args) -> int:
     if not train_slides:
         raise ValidationError("embed: none of the checkpoint's training slides are in --data")
     index = inference.build_index(checkpoint, train_slides)
-    with atomic_out_dir(args.out) as staging:
+    with atomic_out_dir(args.out, config) as staging:
         inference.save_index(index, staging)
-        _write_config_echo(staging, config)
     print(f"indexed {index.size} spots from {len(train_slides)} slides at {args.out}")
     return 0
 
 
-def cmd_predict(args) -> int:
-    config = resolve_config(args)
+def cmd_predict(args, config) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     index = inference.load_index(args.index)
     raw = load_slide(args.slide)
     slide = transform_slide(raw, checkpoint.preprocess)
     k = config["inference"]["k"]
     pred = inference.predict_slide(checkpoint, index, slide, k)
-    with atomic_out_dir(args.out) as staging:
+    with atomic_out_dir(args.out, config) as staging:
         pred.astype("<f4").tofile(staging / "expression.f32")
         meta = {
             "slide_id": slide.slide_id,
@@ -362,13 +348,11 @@ def cmd_predict(args) -> int:
             "k": k,
         }
         write_json(staging / "meta.json", meta)
-        _write_config_echo(staging, config)
     print(f"predicted {slide.spot_num} spots x {pred.shape[1]} genes at {args.out}")
     return 0
 
 
-def cmd_eval(args) -> int:
-    config = resolve_config(args)
+def cmd_eval(args, config) -> int:
     e = config["eval"]
     if e["clusters"] is not None and e["clusters"] < 1:
         raise ValidationError(f"config key eval.clusters={e['clusters']} must be null or at least 1")
@@ -392,7 +376,7 @@ def cmd_eval(args) -> int:
                                 gene_names=slide.gene_names)
     summary = {"slide_id": slide.slide_id, "pcc_acg": record.pcc_acg, "pcc_heg": record.pcc_heg,
                "mse": record.mse, "mae": record.mae}
-    with atomic_out_dir(args.out) as staging:
+    with atomic_out_dir(args.out, config) as staging:
         ev.write_metrics_tsv([record], staging / "metrics.tsv")
         ev.write_per_gene_tsv(record, staging / "per_gene.tsv")
         if slide.labels is not None:
@@ -401,24 +385,21 @@ def cmd_eval(args) -> int:
             ev.write_labels_tsv(labels, staging / "labels.tsv", truth=slide.labels)
             summary["ari"] = ev.ari(labels, slide.labels)
         write_json(staging / "summary.json", summary)
-        _write_config_echo(staging, config)
     print(f"pcc_acg={record.pcc_acg:.4f} pcc_heg={record.pcc_heg:.4f} "
           f"mse={record.mse:.4f} mae={record.mae:.4f}"
           + (f" ari={summary['ari']:.4f}" if "ari" in summary else ""))
     return 0
 
 
-def cmd_loocv(args) -> int:
-    config = resolve_config(args)
+def cmd_loocv(args, config) -> int:
     train_cfg, k = config_object(config, TrainConfig, seed=config["seed"]), config["inference"]["k"]
     slides = load_dataset(args.data)
     records = ev.loocv(slides, hvg_num=config["data"]["hvg_num"], train_cfg=train_cfg,
                        enc_cfg=_encoder_config(config, slides), ks=(k,))[k]
-    with atomic_out_dir(args.out) as staging:
+    with atomic_out_dir(args.out, config) as staging:
         ev.write_metrics_tsv(records, staging / "metrics.tsv")
         for record in records[:-1]:
             ev.write_per_gene_tsv(record, staging / f"per_gene_{record.slide_id}.tsv")
-        _write_config_echo(staging, config)
     mean = records[-1]
     print(f"loocv mean: pcc_acg={mean.pcc_acg:.4f} pcc_heg={mean.pcc_heg:.4f} "
           f"mse={mean.mse:.4f} mae={mean.mae:.4f}")
@@ -439,8 +420,7 @@ def _flag_values(flag: str, raw: str | None, parse) -> list:
     return values
 
 
-def cmd_ablate(args) -> int:
-    config = resolve_config(args)
+def cmd_ablate(args, config) -> int:
     toggles = _flag_values("--toggles", args.toggles, str)
     k_values = _flag_values("--k-sweep", args.k_sweep, int)
     if not toggles and not k_values:
@@ -461,12 +441,11 @@ def cmd_ablate(args) -> int:
                                  enc_cfg=variant_cfg, ks=ks)
     rows = [(name, records[k][-1]) for name, records in results.items()]
     rows += [(f"k={k_value}", results["full"][k_value][-1]) for k_value in k_values]
-    with atomic_out_dir(args.out) as staging:
+    with atomic_out_dir(args.out, config) as staging:
         lines = ["variant\tpcc_acg\tpcc_heg\tmse\tmae"]
         for name, m in rows:
             lines.append(f"{name}\t{m.pcc_acg:.6f}\t{m.pcc_heg:.6f}\t{m.mse:.6f}\t{m.mae:.6f}")
         (staging / "ablation.tsv").write_text("\n".join(lines) + "\n")
-        _write_config_echo(staging, config)
     for name, m in rows:
         print(f"{name}: pcc_acg={m.pcc_acg:.4f}")
     return 0
@@ -540,12 +519,12 @@ def run_gradient_suite(eps: float, tol: float, seed: int = 0):
     return lines, all_passed
 
 
-def cmd_grad_check(args) -> int:
-    lines, passed = run_gradient_suite(args.eps, args.tol, seed=getattr(args, "seed", None) or 0)
+def cmd_grad_check(args, config) -> int:
+    lines, passed = run_gradient_suite(args.eps, args.tol, seed=config["seed"])
     for line in lines:
         print(line)
     if args.out:
-        with atomic_out_dir(args.out) as staging:
+        with atomic_out_dir(args.out, config) as staging:
             (staging / "grad_check.txt").write_text("\n".join(lines) + "\n")
     print("gradient suite:", "pass" if passed else "FAIL")
     return 0 if passed else 2
@@ -626,7 +605,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.out is not None:  # before any load, training or prediction starts
             check_out_dir(args.out)
-        return args.func(args)
+        return args.func(args, resolve_config(args))
     except ValueError as e:  # ValidationError, DataFormatError and other bad input
         print(f"error: {e}", file=sys.stderr)
         return 1

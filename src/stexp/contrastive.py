@@ -19,7 +19,8 @@ import numpy as np
 
 from . import diffcore as dc
 from . import encoders as enc
-from .data import PREPROCESS_TRANSFORM, ProcessedDataset, batch_sampler, read_blob, read_json, write_json
+from .data import (PREPROCESS_TRANSFORM, ProcessedDataset, batch_sampler, read_blob, read_json, require_object,
+                   write_json)
 from .diffcore import ParamSet, Tensor
 
 log = logging.getLogger(__name__)
@@ -189,15 +190,6 @@ _MANIFEST_KEYS = {
 _PARAMS_ENTRY_KEYS = ("name", "shape", "offset", "nbytes")
 
 
-def _require_object(value, dotted: str, keys: tuple[str, ...], path: Path) -> None:
-    """Refuse a manifest field `dotted` that is not a JSON object holding every one of `keys`."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{path}: field {dotted} is a {type(value).__name__}, not an object")
-    for key in keys:
-        if key not in value:
-            raise ValueError(f"{path}: missing key {dotted}.{key}")
-
-
 def load_checkpoint(directory: str | Path) -> Checkpoint:
     """Read a checkpoint, refusing a preprocessing transform other than PREPROCESS_TRANSFORM or a non-<f4 layout.
 
@@ -208,12 +200,12 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
     path = directory / "manifest.json"
     manifest = read_json(path, required=tuple(_MANIFEST_KEYS))
     for section, keys in _MANIFEST_KEYS.items():
-        _require_object(manifest[section], section, keys, path)
+        require_object(manifest[section], section, keys, path)
     entries = manifest["params"]["entries"]
     if not isinstance(entries, list):
         raise ValueError(f"{path}: field params.entries is a {type(entries).__name__}, not a list")
     for i, entry in enumerate(entries):
-        _require_object(entry, f"params.entries.{i}", _PARAMS_ENTRY_KEYS, path)
+        require_object(entry, f"params.entries.{i}", _PARAMS_ENTRY_KEYS, path)
     enc_cfg = _manifest_config(enc.EncoderConfig, manifest, "encoder", path)
     train_cfg = _manifest_config(TrainConfig, manifest, "train", path)
     for key, implemented in PREPROCESS_TRANSFORM.items():

@@ -126,6 +126,15 @@ def read_json(path: str | Path, required: tuple[str, ...] = ()):
     return value
 
 
+def require_object(value, dotted: str, keys: tuple[str, ...], path: str | Path) -> None:
+    """Refuse a JSON field `dotted` of `path` that is not an object holding every one of `keys`."""
+    if not isinstance(value, dict):
+        raise DataFormatError(f"{path}: field {dotted} is a {type(value).__name__}, not an object")
+    for key in keys:
+        if key not in value:
+            raise DataFormatError(f"{path}: missing key {dotted}.{key}")
+
+
 def write_json(path: str | Path, value) -> None:
     """Write `value` in the sorted, one-space-indented form of the .json artifacts, newline-terminated."""
     Path(path).write_text(json.dumps(value, sort_keys=True, indent=1) + "\n")
@@ -142,6 +151,7 @@ def load_slide(directory: str | Path) -> Slide:
     patches = features = labels = None
     if "patch" in meta:
         p = meta["patch"]
+        require_object(p, "patch", ("c", "h", "w"), meta_path)
         patches = read_blob(directory / "patches.f32", "<f4", (n, p["c"], p["h"], p["w"]))
     elif "feat_dim" in meta:
         features = read_blob(directory / "features.f32", "<f4", (n, int(meta["feat_dim"])))
@@ -229,12 +239,9 @@ class ProcessedDataset:
         raise KeyError(slide_id)
 
 
-def _kept_spots(slide: Slide) -> np.ndarray:
+def kept_spots(slide: Slide) -> np.ndarray:
     """The mask of the spots preprocessing keeps: those with a count (counts are non-negative, so the rest are 0)."""
-    keep = slide.expression.any(axis=1)
-    if not keep.all():
-        log.warning("%s: dropping %d zero-count spots", slide.slide_id, np.count_nonzero(~keep))
-    return keep
+    return slide.expression.any(axis=1)
 
 
 def _normalize(counts: np.ndarray) -> np.ndarray:
@@ -261,7 +268,9 @@ def transform_slide(slide: Slide, manifest: dict) -> Slide:
     if names != expected:
         raise DataFormatError(f"{slide.slide_id}: gene_names at the manifest's hvg_indices are {names!r}, "
                               f"its hvg_gene_names {expected!r}")
-    keep = _kept_spots(slide)
+    keep = kept_spots(slide)
+    if not keep.all():
+        log.warning("%s: dropping %d zero-count spots", slide.slide_id, np.count_nonzero(~keep))
     return replace(
         slide,
         expression=_normalize(slide.expression[keep])[:, hvg].astype(np.float32),
@@ -287,10 +296,10 @@ def preprocess(slides: list[Slide], hvg_num: int, train_ids: list[str]) -> Proce
     if unknown:
         raise DataFormatError(f"preprocess: train_ids not in dataset: {unknown}")
     gene_num = slides[0].gene_num
-    if hvg_num > gene_num:
-        raise DataFormatError(f"preprocess: hvg_num={hvg_num} exceeds gene_num={gene_num}")
+    if not 1 <= hvg_num <= gene_num:
+        raise DataFormatError(f"preprocess: hvg_num={hvg_num} outside [1, gene_num={gene_num}]")
 
-    keep = {s.slide_id: _kept_spots(s) for s in slides}
+    keep = {s.slide_id: kept_spots(s) for s in slides}
     by_id = {s.slide_id: s for s in slides}
     variances = np.concatenate([_normalize(by_id[t].expression[keep[t]]) for t in train_ids], axis=0).var(axis=0)
     hvg = np.lexsort((np.arange(gene_num), -variances))[:hvg_num]

@@ -39,6 +39,8 @@ class EncoderConfig:
     image_identity: bool = False  # bypass the conv stack, flatten pixels
 
     def __post_init__(self):
+        if self.hvg_num < 1:
+            raise ValueError(f"EncoderConfig: hvg_num={self.hvg_num} must be at least 1")
         if self.d_embed <= 0:
             raise ValueError("EncoderConfig: d_embed must be positive")
         if self.proj_hidden < 1:
@@ -56,6 +58,8 @@ class EncoderConfig:
         elif self.input_kind == "features":
             if self.input_feat_dim is None:
                 raise ValueError("EncoderConfig: features input requires input_feat_dim")
+            if self.image_identity:
+                raise ValueError("EncoderConfig: image_identity flattens pixels, and features input has none")
         else:
             raise ValueError(f"EncoderConfig: unknown input_kind {self.input_kind!r}")
 

@@ -18,7 +18,7 @@ from scipy.special import betainc
 
 from . import inference
 from .contrastive import Checkpoint, TrainConfig, fit
-from .data import ProcessedDataset, Slide, preprocess
+from .data import ProcessedDataset, Slide, kept_spots, preprocess
 from .encoders import EncoderConfig
 
 log = logging.getLogger(__name__)
@@ -163,7 +163,8 @@ def loocv(
     """
     if len(slides) < 2:
         raise ValueError("loocv: need at least 2 slides")
-    train_spots = sum(s.spot_num for s in slides) - max(s.spot_num for s in slides)
+    kept = [int(np.count_nonzero(kept_spots(s))) for s in slides]
+    train_spots = sum(kept) - max(kept)
     for k in ks:
         if not 1 <= k <= train_spots:
             raise ValueError(f"loocv: k={k} outside [1, {train_spots}], the smallest fold's training spot count")

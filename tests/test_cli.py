@@ -16,7 +16,7 @@ from stexp import cli
 from stexp import diffcore as dc
 from stexp.cli import main
 from stexp.contrastive import TrainConfig
-from stexp.data import GenConfig
+from stexp.data import GenConfig, load_dataset, save_slide
 from stexp.encoders import EncoderConfig
 
 
@@ -118,6 +118,16 @@ class TestValidation:
         assert "unknown config key: eval.heg_size" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("content", [None, '{"seed": 3,\n'], ids=["missing", "unparsable"])
+    def test_bad_config_file_exits_1_naming_it(self, tmp_path, capsys, content):
+        path = tmp_path / "run.json"
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "x"
+        assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 1
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_echo_written(self, tmp_path):
         cfg = micro_config(tmp_path)
         out = tmp_path / "echo"
@@ -152,6 +162,35 @@ def pipeline(tmp_path_factory):
                  "--slide", str(root / "data" / "slide_001"),
                  "--checkpoint", str(root / "ck"), "--out", str(root / "ev")]) == 0
     return root, cfg
+
+
+@pytest.fixture(scope="module")
+def features_data(pipeline, tmp_path_factory):
+    """The pipeline's slides with precomputed features (every 16th pixel value) in place of patches."""
+    root, cfg = pipeline
+    data = tmp_path_factory.mktemp("features")
+    for s in load_dataset(root / "data"):
+        save_slide(dataclasses.replace(s, patches=None, features=s.patches.reshape(s.spot_num, -1)[:, ::16]),
+                   data / s.slide_id)
+    return data, cfg
+
+
+class TestFeaturesInput:
+    def test_pipeline_runs_and_predicts_reproducibly(self, features_data, tmp_path):
+        data, cfg = features_data
+        args, slide = ["--config", str(cfg), "--seed", "7"], str(data / "slide_001")
+        assert main(["train", *args, "--data", str(data), "--holdout", "slide_001",
+                     "--out", str(tmp_path / "ck")]) == 0
+        assert main(["embed", *args, "--checkpoint", str(tmp_path / "ck"), "--data", str(data),
+                     "--out", str(tmp_path / "idx")]) == 0
+        for pred in ("pred", "pred2"):
+            assert main(["predict", *args, "--checkpoint", str(tmp_path / "ck"), "--index", str(tmp_path / "idx"),
+                         "--slide", slide, "--out", str(tmp_path / pred)]) == 0
+        assert dir_bytes(tmp_path / "pred") == dir_bytes(tmp_path / "pred2")
+        assert main(["eval", *args, "--pred", str(tmp_path / "pred"), "--slide", slide,
+                     "--checkpoint", str(tmp_path / "ck"), "--out", str(tmp_path / "ev")]) == 0
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        assert manifest["encoder"]["input_kind"] == "features" and manifest["encoder"]["input_feat_dim"] == 12
 
 
 class TestPipeline:
@@ -364,6 +403,22 @@ class TestArtifactCorruption:
         assert not out.exists()
         assert not list(tmp_path.glob(".tmp-*"))
 
+    @pytest.mark.parametrize("patch, field", [({"c": 3, "w": 8}, "patch.h"), ([3, 8, 8], "field patch")],
+                             ids=["without_h", "list"])
+    def test_slide_meta_nested_field_names_the_file(self, pipeline, tmp_path, capsys, patch, field):
+        root, cfg = pipeline
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        path = data / "slide_000" / "meta.json"
+        meta = json.loads(path.read_text())
+        meta["patch"] = patch
+        path.write_text(json.dumps(meta))
+        out = tmp_path / "ck"
+        assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and field in err, err
+        assert not out.exists()
+
 
 class TestLoocv:
     def test_rows_and_reproducibility(self, tmp_path):
@@ -474,6 +529,14 @@ class TestGradCheckCommand:
         out = capsys.readouterr().out
         assert "full_loss_graph" in out
         assert "gradient suite: pass" in out
+
+    def test_out_holds_the_printed_cases_and_the_config_echo(self, tmp_path, capsys):
+        out = tmp_path / "gc"
+        assert main(["grad-check", "--seed", "3", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1] == "gradient suite: pass"
+        assert (out / "grad_check.txt").read_text().splitlines() == printed[:-1]
+        assert json.loads((out / "config.resolved.json").read_text())["seed"] == 3
 
     def test_every_primitive_has_a_case(self):
         # a case named after each primitive op, whose graph really runs that op
@@ -698,17 +761,52 @@ class TestPreflight:
         assert not out.exists()
         assert not list(tmp_path.glob(".tmp-*"))
 
-    @pytest.mark.parametrize("command", [
-        ["loocv", "--set", "inference.k=0"],
-        ["loocv", "--set", "inference.k=25"],  # each fold trains on the other slide's 24 spots
-        ["ablate", "--toggles", "no_mhsa", "--k-sweep", "1,999"],
+    @pytest.mark.parametrize("command, zeroed", [
+        (["loocv", "--set", "inference.k=0"], None),
+        (["loocv", "--set", "inference.k=25"], None),  # each fold trains on the other slide's 24 spots
+        (["loocv", "--set", "inference.k=24"], 3),  # preprocessing drops that spot of slide_000: one fold has 23
+        (["ablate", "--toggles", "no_mhsa", "--k-sweep", "1,999"], None),
     ])
-    def test_k_checked_before_the_first_fold_trains(self, pipeline, tmp_path, capsys, monkeypatch, command):
+    def test_k_checked_before_the_first_fold_trains(self, pipeline, tmp_path, capsys, monkeypatch, command, zeroed):
         root, cfg = pipeline
+        data = root / "data"
+        if zeroed is not None:
+            data = tmp_path / "data"
+            shutil.copytree(root / "data", data)
+            slide = load_dataset(data)[0]
+            slide.expression[zeroed] = 0.0
+            save_slide(slide, data / slide.slide_id)
         monkeypatch.setattr(cli.ev, "fit", lambda *a, **k: pytest.fail("a fold trained before k was checked"))
         out = tmp_path / "out"
-        assert main([*command, "--config", str(cfg), "--data", str(root / "data"), "--out", str(out)]) == 1
+        assert main([*command, "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
         assert "k=" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hvg_num", [0, -4])
+    @pytest.mark.parametrize("command", ["train", "loocv"])
+    def test_hvg_num_below_one_rejected_before_preprocess(self, pipeline, tmp_path, capsys, monkeypatch,
+                                                          command, hvg_num):
+        root, cfg = pipeline
+        for module in (cli, cli.ev):
+            monkeypatch.setattr(module, "preprocess", lambda *a, **k: pytest.fail("preprocessed before the check"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--set", f"data.hvg_num={hvg_num}",
+                     "--data", str(root / "data"), "--out", str(out)]) == 1
+        assert f"hvg_num={hvg_num}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["ablate", "--toggles", "no_image_path"],
+        ["train", "--set", "encoder.image_identity=true"],
+    ])
+    def test_image_identity_on_features_rejected_before_preprocess(self, features_data, tmp_path, capsys,
+                                                                   monkeypatch, command):
+        data, cfg = features_data
+        for module in (cli, cli.ev):
+            monkeypatch.setattr(module, "preprocess", lambda *a, **k: pytest.fail("preprocessed before the check"))
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
+        assert "image_identity" in capsys.readouterr().err
         assert not out.exists()
 
 

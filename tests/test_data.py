@@ -2,6 +2,7 @@
 
 import ast
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -175,6 +176,13 @@ class TestPreprocess:
         # patches stay aligned with kept expression rows
         np.testing.assert_array_equal(ds.slides[0].patches[3], slide.patches[4])
 
+    def test_zero_count_warning_logged_once_per_slide(self, caplog):
+        slides = [make_slide(seed=i, spots=8, genes=4) for i in range(2)]
+        slides[0].expression[3] = 0.0
+        with caplog.at_level(logging.WARNING, logger="stexp.data"):
+            preprocess(slides, hvg_num=4, train_ids=[slides[0].slide_id])
+        assert [r.getMessage() for r in caplog.records] == [f"{slides[0].slide_id}: dropping 1 zero-count spots"]
+
     def test_idempotent_via_manifest(self):
         slide = make_slide(spots=12, genes=9)
         ds = preprocess([slide], hvg_num=4, train_ids=[slide.slide_id])
@@ -212,10 +220,11 @@ class TestPreprocess:
         np.testing.assert_array_equal(again.expression, ds.slides[0].expression)
         assert again.gene_names == ds.gene_names
 
-    def test_hvg_num_too_large_rejected(self):
+    @pytest.mark.parametrize("hvg_num", [5, 0, -4])
+    def test_hvg_num_outside_one_to_gene_num_rejected(self, hvg_num):
         slide = make_slide(genes=4)
-        with pytest.raises(DataFormatError, match="hvg_num"):
-            preprocess([slide], hvg_num=5, train_ids=[slide.slide_id])
+        with pytest.raises(DataFormatError, match=f"hvg_num={hvg_num} outside"):
+            preprocess([slide], hvg_num=hvg_num, train_ids=[slide.slide_id])
 
     def test_empty_train_ids_rejected(self):
         with pytest.raises(DataFormatError, match="train_ids"):
@@ -328,8 +337,8 @@ def test_every_artifact_goes_through_one_reader():
     assert _owners("np.fromfile") == [("data", "read_blob")]
     assert _owners("np.frombuffer") == []
     assert _owners(".read_bytes(") == []
-    # besides read_json, only the --config file and --set values are parsed
-    assert _owners("json.loads(") == [("cli", "resolve_config"), ("cli", "resolve_config"), ("data", "read_json")]
+    # besides read_json, which also reads the --config file, only --set values are parsed
+    assert _owners("json.loads(") == [("cli", "resolve_config"), ("data", "read_json")]
     # besides write_json, only the divergence snapshot, whose writer is strict JSON
     assert _owners("indent=1") == [("cli", "_write_divergence_snapshot"), ("data", "write_json")]
 
