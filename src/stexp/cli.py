@@ -13,12 +13,9 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import shutil
 import sys
-import types
-import typing
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
@@ -33,13 +30,15 @@ from .contrastive import (
     TrainConfig,
     TrainingDiverged,
     build_loss_graph,
-    config_from_json,
     fit,
     load_checkpoint,
     save_checkpoint,
 )
 from .data import (
     GenConfig,
+    config_from_json,
+    field_hints,
+    json_type_ok,
     load_dataset,
     load_slide,
     preprocess,
@@ -47,6 +46,7 @@ from .data import (
     read_json,
     synth_generate,
     transform_slide,
+    type_mismatch,
     write_json,
 )
 from .encoders import EncoderConfig, init_params
@@ -95,7 +95,7 @@ _OTHER_KEYS = {
 
 
 class ConfigKey(NamedTuple):
-    """One accepted config key: its type annotation, its default, and the dataclass field it sets, if any."""
+    """One accepted config key: its type annotation, its default as JSON, and the dataclass field it sets, if any."""
 
     hint: object
     default: object
@@ -106,35 +106,16 @@ class ConfigKey(NamedTuple):
 def _schema() -> dict[str, ConfigKey]:
     schema = {dotted: ConfigKey(hint, default) for dotted, (hint, default) in _OTHER_KEYS.items()}
     for section, (cls, derived) in _DATACLASS_SECTIONS.items():
-        hints = typing.get_type_hints(cls)
+        hints = field_hints(cls)
         for f in dataclasses.fields(cls):
             if f.name not in derived:
-                schema[f"{section}.{f.metadata.get('cli', f.name)}"] = ConfigKey(hints[f.name], f.default, cls, f.name)
+                default = list(f.default) if isinstance(f.default, tuple) else f.default
+                schema[f"{section}.{f.metadata.get('cli', f.name)}"] = ConfigKey(hints[f.name], default, cls, f.name)
     return schema
 
 
 SCHEMA = _schema()  # {dotted key: ConfigKey}, every key --config and --set accept
 _SECTIONS = {dotted.rpartition(".")[0] for dotted in SCHEMA} - {""}
-
-
-def _type_ok(value, hint) -> bool:
-    """JSON value against a field annotation: bools are only bools, ints are no floats."""
-    if isinstance(hint, types.UnionType):
-        return any(_type_ok(value, h) for h in typing.get_args(hint))
-    if hint is type(None):
-        return value is None
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if typing.get_origin(hint) is tuple:
-        args = typing.get_args(hint)
-        if not isinstance(value, list):
-            return False
-        if args[-1] is Ellipsis:
-            return all(_type_ok(v, args[0]) for v in value)
-        return len(value) == len(args) and all(map(_type_ok, value, args))
-    return isinstance(value, hint)
 
 
 def _slot(config: dict, dotted: str) -> tuple[dict, str]:
@@ -157,9 +138,8 @@ def _assign(config: dict, dotted: str, value) -> None:
     key = SCHEMA.get(dotted)
     if key is None:
         raise ValidationError(f"unknown config key: {dotted}")
-    if not _type_ok(value, key.hint):
-        expected = key.hint.__name__ if isinstance(key.hint, type) else str(key.hint)
-        raise ValidationError(f"config key {dotted} expects {expected}, got {value!r}")
+    if not json_type_ok(value, key.hint):
+        raise ValidationError(type_mismatch(f"config key {dotted}", value, key.hint))
     node, name = _slot(config, dotted)
     node[name] = value
 
@@ -207,7 +187,7 @@ def config_object(config: dict, cls, **derived):
         if key.owner is cls:
             node, name = _slot(config, dotted)
             values[key.field] = node[name]
-    return config_from_json(cls, {**values, **derived})
+    return config_from_json(cls, values, "config key ", **derived)
 
 
 def _encoder_config(config: dict, slides) -> EncoderConfig:
@@ -256,23 +236,11 @@ def atomic_out_dir(out: str | Path, config: dict):
     os.replace(staging, out)
 
 
-def _strict_json(value):
-    """Non-finite floats as the strings "nan", "inf" and "-inf", which strict JSON can hold."""
-    if isinstance(value, dict):
-        return {k: _strict_json(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_strict_json(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
-    return value
-
-
 def _write_divergence_snapshot(out: str | Path, snapshot: dict) -> Path:
     """Write a diverged run's snapshot to <out>.failed/divergence.json; returns that path."""
-    failed = Path(f"{out}.failed")
-    failed.mkdir(parents=True, exist_ok=True)
-    path = failed / "divergence.json"
-    path.write_text(json.dumps(_strict_json(snapshot), sort_keys=True, indent=1, allow_nan=False) + "\n")
+    path = Path(f"{out}.failed") / "divergence.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_json(path, snapshot)
     return path
 
 
@@ -359,7 +327,8 @@ def cmd_eval(args, config) -> int:
     if e["pca_components"] < 1:
         raise ValidationError(f"config key eval.pca_components={e['pca_components']} must be at least 1")
     checkpoint = load_checkpoint(args.checkpoint)
-    meta = read_json(Path(args.pred) / "meta.json", required=("slide_id", "spot_num", "gene_num", "gene_names"))
+    meta = read_json(Path(args.pred) / "meta.json",
+                     required={"slide_id": str, "spot_num": int, "gene_num": int, "gene_names": tuple[str, ...]})
     pred = read_blob(Path(args.pred) / "expression.f32", "<f4", (meta["spot_num"], meta["gene_num"]))
     raw = load_slide(args.slide)
     slide = transform_slide(raw, checkpoint.preprocess)

@@ -9,18 +9,17 @@ the N^2 - N off-diagonal entries are the negatives.
 
 from __future__ import annotations
 
-import functools
 import logging
-import typing
-from dataclasses import asdict, dataclass, fields
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import diffcore as dc
 from . import encoders as enc
-from .data import (PREPROCESS_TRANSFORM, ProcessedDataset, batch_sampler, read_blob, read_json, require_object,
-                   write_json)
+from .data import (PREPROCESS_TRANSFORM, ProcessedDataset, batch_sampler, config_from_json, read_blob, read_json,
+                   require_object, write_json)
 from .diffcore import ParamSet, Tensor
 
 log = logging.getLogger(__name__)
@@ -50,10 +49,10 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError("TrainConfig: epochs must be >= 1")
         # written as `not (...)` so that a NaN, which compares False, is rejected too
-        if not (self.temperature > 0):
-            raise ValueError("TrainConfig: temperature must be positive")
-        if not (self.learning_rate > 0):
-            raise ValueError(f"TrainConfig: learning_rate must be positive, got {self.learning_rate}")
+        if not (0 < self.temperature < math.inf):
+            raise ValueError(f"TrainConfig: temperature must be positive and finite, got {self.temperature}")
+        if not (0 < self.learning_rate < math.inf):
+            raise ValueError(f"TrainConfig: learning_rate must be positive and finite, got {self.learning_rate}")
 
 
 # ---------------------------------------------------------------------------
@@ -108,21 +107,6 @@ def build_loss_graph(
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _tuple_fields(cls) -> frozenset[str]:
-    """Fields of `cls` annotated as a tuple or an optional tuple (resolving annotations is slow)."""
-    return frozenset(
-        name for name, hint in typing.get_type_hints(cls).items()
-        if tuple in {typing.get_origin(h) for h in (hint, *typing.get_args(hint))}
-    )
-
-
-def config_from_json(cls, values: dict):
-    """Rebuild a config dataclass from its JSON form: lists go back to tuples for tuple-typed fields."""
-    tuples = _tuple_fields(cls)
-    return cls(**{name: tuple(v) if name in tuples and isinstance(v, list) else v for name, v in values.items()})
-
-
 # Fields that manifests from before they were fixed still hold: {section: {field: the value the code implements}}
 _RETIRED_FIELDS = {
     "encoder": {"attn_residual": True},
@@ -132,17 +116,14 @@ _RETIRED_FIELDS = {
 
 def _manifest_config(cls, manifest: dict, section: str, path: Path):
     """`path`'s manifest section as a `cls`: a retired field is dropped if it holds its fixed value, else refused."""
-    known = {f.name for f in fields(cls)}
     values = {}
     for name, value in manifest[section].items():
-        if name in known:
+        if name not in _RETIRED_FIELDS[section]:
             values[name] = value
-        elif name not in _RETIRED_FIELDS[section]:
-            raise ValueError(f"{path}: field {section}.{name} is not a {cls.__name__} field")
         elif value != _RETIRED_FIELDS[section][name]:
             raise ValueError(f"{path}: field {section}.{name}={value!r} is no longer supported "
                              f"(only {_RETIRED_FIELDS[section][name]!r})")
-    return config_from_json(cls, values)
+    return config_from_json(cls, values, f"{path}: field {section}.")
 
 
 @dataclass
@@ -180,30 +161,28 @@ def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
     write_json(directory / "manifest.json", manifest)
 
 
-# The manifest sections and the keys of each that a checkpoint's readers use: {section: required keys}
+# The manifest sections and the keys of each that a checkpoint's readers use: {section: {key: annotation}}
 _MANIFEST_KEYS = {
-    "encoder": (),
-    "train": (),
-    "preprocess": (*PREPROCESS_TRANSFORM, "hvg_indices", "train_ids"),
-    "params": ("dtype", "total_bytes", "entries"),
+    "encoder": {},
+    "train": {},
+    "preprocess": {"target_sum": float, "transform": str, "hvg_indices": tuple[int, ...], "train_ids": tuple[str, ...]},
+    "params": {"dtype": str, "total_bytes": int, "entries": list},
 }
-_PARAMS_ENTRY_KEYS = ("name", "shape", "offset", "nbytes")
+_PARAMS_ENTRY_KEYS = {"name": str, "shape": tuple[int, ...], "offset": int, "nbytes": int}
 
 
 def load_checkpoint(directory: str | Path) -> Checkpoint:
     """Read a checkpoint, refusing a preprocessing transform other than PREPROCESS_TRANSFORM or a non-<f4 layout.
 
-    Every section and key that a checkpoint's readers use is checked first, so
-    a manifest that lacks one is a ValueError naming the file and the dotted field.
+    Every section and key that a checkpoint's readers use is checked first, so a manifest
+    that lacks one, or holds one of another type, is a ValueError naming the file and the dotted field.
     """
     directory = Path(directory)
     path = directory / "manifest.json"
-    manifest = read_json(path, required=tuple(_MANIFEST_KEYS))
+    manifest = read_json(path, required=dict.fromkeys(_MANIFEST_KEYS, dict))
     for section, keys in _MANIFEST_KEYS.items():
         require_object(manifest[section], section, keys, path)
     entries = manifest["params"]["entries"]
-    if not isinstance(entries, list):
-        raise ValueError(f"{path}: field params.entries is a {type(entries).__name__}, not a list")
     for i, entry in enumerate(entries):
         require_object(entry, f"params.entries.{i}", _PARAMS_ENTRY_KEYS, path)
     enc_cfg = _manifest_config(enc.EncoderConfig, manifest, "encoder", path)

@@ -13,14 +13,20 @@ On-disk layout, one directory per slide:
 All shapes are authoritative from meta.json. Every artifact is read through
 read_blob and read_json, which reject a missing file, a blob whose byte size
 differs from its declared shape, unparsable JSON, or JSON without a key its
-reader requires, naming the file. NaN or Inf in any array and negative
-counts are rejected by Slide.validate, naming the field.
+reader requires or with one that json_type_ok (the rule config_from_json
+also applies to settings) rejects, naming the file. NaN or Inf in any array
+and negative counts are rejected by Slide.validate, naming the field. Every
+indented .json artifact is written by write_json, as strict JSON.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import math
+import types
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -112,59 +118,117 @@ def read_blob(path: str | Path, dtype: str, shape: tuple[int, ...]) -> np.ndarra
     return np.fromfile(path, dtype=dtype).reshape(shape)
 
 
-def read_json(path: str | Path, required: tuple[str, ...] = ()):
-    """A JSON file's value; a missing or unparsable file or `required` key is a DataFormatError that names the file."""
+def json_type_ok(value, hint) -> bool:
+    """JSON value against a field annotation: bools are only bools, ints are no floats, a tuple is a list."""
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(hint, types.UnionType):
+        return any(json_type_ok(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(value, list):
+            return False
+        if args[-1] is Ellipsis:
+            return all(json_type_ok(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(json_type_ok, value, args))
+    return isinstance(value, hint)  # str, bool, list, dict or NoneType
+
+
+def type_mismatch(what: str, value, hint) -> str:
+    """The message for a JSON `value` of `what` that json_type_ok finds does not fit the annotation `hint`."""
+    return f"{what} expects {hint.__name__ if isinstance(hint, type) else hint}, got {value!r}"
+
+
+field_hints = functools.cache(typing.get_type_hints)  # {field: annotation} of a dataclass; resolving is slow
+
+
+def config_from_json(cls, values: dict, where: str, **derived):
+    """A `cls` from JSON `values`, each a field checked by json_type_ok, and the `derived` fields no JSON holds.
+
+    An error names the field as `where` + its name. A list fits only a tuple field, so each becomes a tuple.
+    """
+    hints = field_hints(cls)
+    for name, value in values.items():
+        if name not in hints:
+            raise DataFormatError(f"{where}{name} is not a {cls.__name__} field")
+        if not json_type_ok(value, hints[name]):
+            raise DataFormatError(type_mismatch(f"{where}{name}", value, hints[name]))
+    return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in values.items()}, **derived)
+
+
+def read_json(path: str | Path, required: dict | None = None):
+    """A JSON file's value; a missing or unparsable file, or a `required` key ({key: annotation}) that is missing or
+    of another type, is a DataFormatError that names the file. A key whose annotation admits null may be absent."""
     try:
         value = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise DataFormatError(f"missing file: {path}") from None
     except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
         raise DataFormatError(f"{path} is not valid JSON: {e}") from None
-    for key in required:
-        if not isinstance(value, dict) or key not in value:
+    for key, hint in (required or {}).items():
+        if not isinstance(value, dict) or (key not in value and not json_type_ok(None, hint)):
             raise DataFormatError(f"{path}: missing key {key!r}")
+        if not json_type_ok(value.get(key), hint):
+            raise DataFormatError(type_mismatch(f"{path}: field {key}", value.get(key), hint))
     return value
 
 
-def require_object(value, dotted: str, keys: tuple[str, ...], path: str | Path) -> None:
-    """Refuse a JSON field `dotted` of `path` that is not an object holding every one of `keys`."""
+def require_object(value, dotted: str, keys: dict, path: str | Path) -> None:
+    """Refuse a JSON field `dotted` of `path` that is not an object holding each of `keys` with its annotation."""
     if not isinstance(value, dict):
         raise DataFormatError(f"{path}: field {dotted} is a {type(value).__name__}, not an object")
-    for key in keys:
+    for key, hint in keys.items():
         if key not in value:
             raise DataFormatError(f"{path}: missing key {dotted}.{key}")
+        if not json_type_ok(value[key], hint):
+            raise DataFormatError(type_mismatch(f"{path}: field {dotted}.{key}", value[key], hint))
+
+
+def _strict_json(value):
+    """Non-finite floats as the strings "nan", "inf" and "-inf", which strict JSON can hold."""
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
 
 
 def write_json(path: str | Path, value) -> None:
-    """Write `value` in the sorted, one-space-indented form of the .json artifacts, newline-terminated."""
-    Path(path).write_text(json.dumps(value, sort_keys=True, indent=1) + "\n")
+    """Write `value` in the strict, sorted, one-space-indented form of the .json artifacts, newline-terminated."""
+    Path(path).write_text(json.dumps(_strict_json(value), sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 
 def load_slide(directory: str | Path) -> Slide:
     """Load and validate one slide directory; little-endian byte order enforced."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
-    meta = read_json(meta_path, required=("slide_id", "spot_num", "gene_num", "gene_names", "coord_max"))
-    n, g = int(meta["spot_num"]), int(meta["gene_num"])
+    meta = read_json(meta_path, required={"slide_id": str, "spot_num": int, "gene_num": int,
+                                          "gene_names": tuple[str, ...], "coord_max": int,
+                                          "feat_dim": int | None, "has_labels": bool | None})
+    n, g = meta["spot_num"], meta["gene_num"]
     expression = read_blob(directory / "expression.f32", "<f4", (n, g))
     coords = read_blob(directory / "coords.u32", "<u4", (n, 2))
     patches = features = labels = None
     if "patch" in meta:
         p = meta["patch"]
-        require_object(p, "patch", ("c", "h", "w"), meta_path)
+        require_object(p, "patch", {"c": int, "h": int, "w": int}, meta_path)
         patches = read_blob(directory / "patches.f32", "<f4", (n, p["c"], p["h"], p["w"]))
-    elif "feat_dim" in meta:
-        features = read_blob(directory / "features.f32", "<f4", (n, int(meta["feat_dim"])))
+    elif meta.get("feat_dim") is not None:
+        features = read_blob(directory / "features.f32", "<f4", (n, meta["feat_dim"]))
     else:
         raise DataFormatError(f"{meta_path}: neither patch nor feat_dim declared")
     if meta.get("has_labels"):
         labels = read_blob(directory / "labels.u16", "<u2", (n,))
     return Slide(
-        slide_id=str(meta["slide_id"]),
+        slide_id=meta["slide_id"],
         expression=expression,
         coords=coords,
-        coord_max=int(meta["coord_max"]),
-        gene_names=[str(x) for x in meta["gene_names"]],
+        coord_max=meta["coord_max"],
+        gene_names=meta["gene_names"],
         patches=patches,
         features=features,
         labels=labels,

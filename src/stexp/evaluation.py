@@ -159,15 +159,19 @@ def loocv(
 ) -> dict[int, list[MetricsRecord]]:
     """{k: one record per fold plus a final mean row}; each fold trains once and is scored at every k in ks.
 
-    Per-fold seeds derive from the config seed. Every k is checked before any fold trains.
+    Per-fold seeds derive from the config seed. Every k, and the batch size against every slide (each is
+    trained on in some fold), is checked before any fold trains.
     """
     if len(slides) < 2:
         raise ValueError("loocv: need at least 2 slides")
-    kept = [int(np.count_nonzero(kept_spots(s))) for s in slides]
-    train_spots = sum(kept) - max(kept)
+    kept = {s.slide_id: int(np.count_nonzero(kept_spots(s))) for s in slides}
+    train_spots = sum(kept.values()) - max(kept.values())
     for k in ks:
         if not 1 <= k <= train_spots:
             raise ValueError(f"loocv: k={k} outside [1, {train_spots}], the smallest fold's training spot count")
+    too_small = [slide_id for slide_id, count in kept.items() if count < train_cfg.batch_size]
+    if too_small:
+        raise ValueError(f"loocv: batch_size={train_cfg.batch_size} exceeds the kept spot count of {too_small}")
     folds = []
     for fold, slide in enumerate(slides):
         log.info("loocv fold %d/%d: test slide %s", fold + 1, len(slides), slide.slide_id)

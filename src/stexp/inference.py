@@ -338,7 +338,8 @@ def save_index(index: RetrievalIndex, directory: str | Path) -> None:
 
 def load_index(directory: str | Path) -> RetrievalIndex:
     directory = Path(directory)
-    meta = read_json(directory / "provenance.json", required=("rows", "d_embed", "hvg_num", "entries"))
+    meta = read_json(directory / "provenance.json",
+                     required={"rows": int, "d_embed": int, "hvg_num": int, "entries": list})
     n, d, g = meta["rows"], meta["d_embed"], meta["hvg_num"]
     if len(meta["entries"]) != n:
         raise ValueError(f"{directory / 'provenance.json'} lists {len(meta['entries'])} entries for {n} rows")

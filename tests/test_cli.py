@@ -314,6 +314,13 @@ CHECKPOINT_FIELD_CORRUPTIONS = [
       for key in ("name", "shape", "offset", "nbytes")),
     (_set("encoder", []), "encoder"),
     (_set("train", []), "train"),
+    # a field of another type than its annotation, in a config section or in the layout
+    (_set("encoder.use_mhsa", 0), "encoder.use_mhsa"),
+    (_set("encoder.d_embed", "16"), "encoder.d_embed"),
+    (_set("train.batch_size", 8.5), "train.batch_size"),
+    (_set("preprocess.hvg_indices", "0,1"), "preprocess.hvg_indices"),
+    (_set("params.total_bytes", "1024"), "params.total_bytes"),
+    (_set("params.entries.0.offset", 0.0), "params.entries.0.offset"),
 ]
 # (artifact under the pipeline root, corruption)
 ARTIFACT_CORRUPTIONS = [
@@ -329,7 +336,10 @@ ARTIFACT_CORRUPTIONS = [
     ("ck/manifest.json", _without("params")),
     ("ck/manifest.json", _without("preprocess")),
     ("idx/provenance.json", _without("entries")),
+    ("idx/provenance.json", _set("rows", 24.0)),
     ("pred/meta.json", _without("slide_id")),
+    ("pred/meta.json", _set("spot_num", "24")),
+    ("pred/meta.json", _set("gene_num", 8.0)),
     *(("ck/manifest.json", corrupt) for corrupt, _ in CHECKPOINT_FIELD_CORRUPTIONS),
 ]
 # the artifact directories each command reads
@@ -417,6 +427,24 @@ class TestArtifactCorruption:
         assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"{path}: " in err and field in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("patch", {"c": 3, "h": "8", "w": 8}, "patch.h"),
+        ("spot_num", 24.0, "spot_num"),
+        ("coord_max", "256", "coord_max"),
+        ("gene_names", list(range(24)), "gene_names"),
+        ("has_labels", "yes", "has_labels"),
+    ], ids=["patch.h=str", "spot_num=float", "coord_max=str", "gene_names=ints", "has_labels=str"])
+    def test_slide_meta_field_of_another_type_names_the_file(self, pipeline, tmp_path, capsys, key, value, field):
+        root, cfg = pipeline
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        path = data / "slide_000" / "meta.json"
+        _set(key, value)(path)
+        out = tmp_path / "ck"
+        assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
+        assert f"{path}: field {field} expects" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -640,6 +668,8 @@ class TestPreflight:
         ("train.beta2=NaN", "beta2"),
         ("train.epsilon=0", "epsilon"),
         ("train.temperature=NaN", "temperature"),
+        ("train.temperature=Infinity", "temperature"),
+        ("train.learning_rate=Infinity", "learning_rate"),
     ])
     def test_optimizer_bounds(self, pipeline, tmp_path, capsys, monkeypatch, assignment, key):
         root, cfg = pipeline
@@ -780,6 +810,21 @@ class TestPreflight:
         out = tmp_path / "out"
         assert main([*command, "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
         assert "k=" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["loocv"], ["ablate", "--toggles", "no_mhsa"]])
+    def test_batch_size_checked_against_every_slide_before_the_first_fold_trains(self, pipeline, tmp_path, capsys,
+                                                                                 monkeypatch, command):
+        root, cfg = pipeline
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        slide = load_dataset(data)[0]
+        slide.expression[:17] = 0.0  # 7 spots kept, below the batch of 8; only the last fold trains on slide_000
+        save_slide(slide, data / slide.slide_id)
+        monkeypatch.setattr(cli.ev, "fit", lambda *a, **k: pytest.fail("a fold trained before the batch was checked"))
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
+        assert "batch_size=8 exceeds the kept spot count of ['slide_000']" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("hvg_num", [0, -4])

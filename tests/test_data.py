@@ -339,19 +339,28 @@ def test_every_artifact_goes_through_one_reader():
     assert _owners(".read_bytes(") == []
     # besides read_json, which also reads the --config file, only --set values are parsed
     assert _owners("json.loads(") == [("cli", "resolve_config"), ("data", "read_json")]
-    # besides write_json, only the divergence snapshot, whose writer is strict JSON
-    assert _owners("indent=1") == [("cli", "_write_divergence_snapshot"), ("data", "write_json")]
+    # every indented artifact, the divergence snapshot included, is strict JSON from write_json
+    assert _owners("indent=1") == [("data", "write_json")]
+
+
+def test_settings_have_one_json_reader():
+    # annotations are resolved and interpreted only in data, and one function builds a config object from JSON
+    assert _owners("get_type_hints") == [("data", None)]
+    assert _owners("typing.get_origin(") == [("data", "json_type_ok")]
+    assert _owners("typing.get_args(") == [("data", "json_type_ok")] * 2
+    calls = [owner for owner in _owners("config_from_json(") if owner != ("data", "config_from_json")]
+    assert calls == [("cli", "config_object"), ("contrastive", "_manifest_config")]
 
 
 def test_read_json_names_the_file_and_a_missing_required_key(tmp_path):
     path = tmp_path / "meta.json"
     path.write_text(json.dumps({"rows": 3}))
-    assert read_json(path, required=("rows",)) == {"rows": 3}
+    assert read_json(path, required={"rows": int}) == {"rows": 3}
     with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: missing key 'entries'"):
-        read_json(path, required=("rows", "entries"))
+        read_json(path, required={"rows": int, "entries": list})
     path.write_text("[]")  # parses, but holds no object to look a key up in
     with pytest.raises(DataFormatError, match="missing key 'rows'"):
-        read_json(path, required=("rows",))
+        read_json(path, required={"rows": int})
 
 
 def test_checkpoint_settings_are_parsed_once_when_it_loads():
