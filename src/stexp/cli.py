@@ -177,6 +177,8 @@ def resolve_config(args) -> dict:
         _assign(config, dotted, value)
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
+    if config["seed"] < 0:
+        raise ValidationError(f"config key seed={config['seed']} must be non-negative")
     return config
 
 
@@ -194,9 +196,9 @@ def _encoder_config(config: dict, slides) -> EncoderConfig:
     """The encoder keys plus hvg_num and the input fields, which the data decides; checked against its coordinates."""
     sample = slides[0]
     if sample.patches is not None:
-        inputs = {"input_kind": "pixels", "patch_shape": sample.patches.shape[1:]}
+        inputs = {"input_kind": "pixels", "patch_shape": sample.patches.shape[1:], "input_feat_dim": None}
     else:
-        inputs = {"input_kind": "features", "input_feat_dim": sample.features.shape[1]}
+        inputs = {"input_kind": "features", "patch_shape": None, "input_feat_dim": sample.features.shape[1]}
     enc_cfg = config_object(config, EncoderConfig, hvg_num=config["data"]["hvg_num"], **inputs)
     coord_max = max(int(s.coords.max()) for s in slides)
     if enc_cfg.use_positional and enc_cfg.n_positions <= coord_max:
@@ -341,6 +343,9 @@ def cmd_eval(args, config) -> int:
             f"eval: prediction {pred.shape} does not match processed slide "
             f"[{slide.spot_num}, {slide.gene_num}]"
         )
+    if slide.labels is not None and e["clusters"] is not None and e["clusters"] > slide.spot_num:
+        raise ValidationError(f"config key eval.clusters={e['clusters']} exceeds the {slide.spot_num} spots "
+                              f"that preprocessing keeps of --slide {args.slide}")
     record = ev.compute_metrics(pred, slide.expression, slide_id=slide.slide_id,
                                 gene_names=slide.gene_names)
     summary = {"slide_id": slide.slide_id, "pcc_acg": record.pcc_acg, "pcc_heg": record.pcc_heg,

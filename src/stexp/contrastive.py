@@ -107,25 +107,6 @@ def build_loss_graph(
 # ---------------------------------------------------------------------------
 
 
-# Fields that manifests from before they were fixed still hold: {section: {field: the value the code implements}}
-_RETIRED_FIELDS = {
-    "encoder": {"attn_residual": True},
-    "train": {"learn_temperature": False, "beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "epsilon": ADAM_EPSILON},
-}
-
-
-def _manifest_config(cls, manifest: dict, section: str, path: Path):
-    """`path`'s manifest section as a `cls`: a retired field is dropped if it holds its fixed value, else refused."""
-    values = {}
-    for name, value in manifest[section].items():
-        if name not in _RETIRED_FIELDS[section]:
-            values[name] = value
-        elif value != _RETIRED_FIELDS[section][name]:
-            raise ValueError(f"{path}: field {section}.{name}={value!r} is no longer supported "
-                             f"(only {_RETIRED_FIELDS[section][name]!r})")
-    return config_from_json(cls, values, f"{path}: field {section}.")
-
-
 @dataclass
 class Checkpoint:
     params: ParamSet
@@ -165,7 +146,8 @@ def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
 _MANIFEST_KEYS = {
     "encoder": {},
     "train": {},
-    "preprocess": {"target_sum": float, "transform": str, "hvg_indices": tuple[int, ...], "train_ids": tuple[str, ...]},
+    "preprocess": {"target_sum": float, "transform": str, "hvg_indices": tuple[int, ...],
+                   "hvg_gene_names": tuple[str, ...], "train_ids": tuple[str, ...]},
     "params": {"dtype": str, "total_bytes": int, "entries": list},
 }
 _PARAMS_ENTRY_KEYS = {"name": str, "shape": tuple[int, ...], "offset": int, "nbytes": int}
@@ -174,19 +156,20 @@ _PARAMS_ENTRY_KEYS = {"name": str, "shape": tuple[int, ...], "offset": int, "nby
 def load_checkpoint(directory: str | Path) -> Checkpoint:
     """Read a checkpoint, refusing a preprocessing transform other than PREPROCESS_TRANSFORM or a non-<f4 layout.
 
-    Every section and key that a checkpoint's readers use is checked first, so a manifest
-    that lacks one, or holds one of another type, is a ValueError naming the file and the dotted field.
+    Every section and key that a checkpoint's readers use is checked first, every encoder and train
+    setting among them, so a manifest that lacks one, holds one of another type or holds a field no
+    config has is a ValueError naming the file and the dotted field.
     """
     directory = Path(directory)
     path = directory / "manifest.json"
-    manifest = read_json(path, required=dict.fromkeys(_MANIFEST_KEYS, dict))
+    manifest = read_json(path, required={**dict.fromkeys(_MANIFEST_KEYS, dict), "loss_history": list})
     for section, keys in _MANIFEST_KEYS.items():
         require_object(manifest[section], section, keys, path)
     entries = manifest["params"]["entries"]
     for i, entry in enumerate(entries):
         require_object(entry, f"params.entries.{i}", _PARAMS_ENTRY_KEYS, path)
-    enc_cfg = _manifest_config(enc.EncoderConfig, manifest, "encoder", path)
-    train_cfg = _manifest_config(TrainConfig, manifest, "train", path)
+    enc_cfg = config_from_json(enc.EncoderConfig, manifest["encoder"], f"{path}: field encoder.")
+    train_cfg = config_from_json(TrainConfig, manifest["train"], f"{path}: field train.")
     for key, implemented in PREPROCESS_TRANSFORM.items():
         if manifest["preprocess"][key] != implemented:
             raise ValueError(f"{path}: field preprocess.{key}={manifest['preprocess'][key]!r} is not supported "
@@ -208,7 +191,7 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
         params.add(entry["name"], arr)
     if expected_offset != layout["total_bytes"]:
         raise ValueError(f"{path}: offsets do not tile the blob exactly")
-    return Checkpoint(params, enc_cfg, train_cfg, manifest["preprocess"], manifest.get("loss_history", []))
+    return Checkpoint(params, enc_cfg, train_cfg, manifest["preprocess"], manifest["loss_history"])
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ On-disk layout, one directory per slide:
 All shapes are authoritative from meta.json. Every artifact is read through
 read_blob and read_json, which reject a missing file, a blob whose byte size
 differs from its declared shape, unparsable JSON, or JSON without a key its
-reader requires or with one that json_type_ok (the rule config_from_json
-also applies to settings) rejects, naming the file. NaN or Inf in any array
-and negative counts are rejected by Slide.validate, naming the field. Every
-indented .json artifact is written by write_json, as strict JSON.
+reader requires or with one that json_type_ok rejects, naming the file.
+config_from_json applies the same rule to settings and requires each one: a
+dataclass default fills none on read. NaN or Inf in any array and negative
+counts are rejected by Slide.validate, naming the field. Every indented
+.json artifact is written by write_json, as strict JSON.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ field_hints = functools.cache(typing.get_type_hints)  # {field: annotation} of a
 
 
 def config_from_json(cls, values: dict, where: str, **derived):
-    """A `cls` from JSON `values`, each a field checked by json_type_ok, and the `derived` fields no JSON holds.
+    """A `cls` from JSON `values`, every field but the `derived` ones no JSON holds, each checked by json_type_ok.
 
     An error names the field as `where` + its name. A list fits only a tuple field, so each becomes a tuple.
     """
@@ -155,6 +156,9 @@ def config_from_json(cls, values: dict, where: str, **derived):
             raise DataFormatError(f"{where}{name} is not a {cls.__name__} field")
         if not json_type_ok(value, hints[name]):
             raise DataFormatError(type_mismatch(f"{where}{name}", value, hints[name]))
+    for name in hints:
+        if name not in values and name not in derived:
+            raise DataFormatError(f"{where}{name} is missing")
     return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in values.items()}, **derived)
 
 
@@ -318,9 +322,8 @@ def transform_slide(slide: Slide, manifest: dict) -> Slide:
     """Apply a recorded preprocessing manifest to one raw slide.
 
     The slide must hold the manifest's gene panel: every hvg_indices entry
-    is one of its genes and, where the manifest records hvg_gene_names
-    (manifests written before it was recorded do not), its gene_names at
-    those indices are exactly those names. A slide that does not is a
+    is one of its genes, and its gene_names at those indices are exactly
+    the manifest's hvg_gene_names. A slide that does not is a
     DataFormatError naming the slide and the field.
     """
     hvg = np.asarray(manifest["hvg_indices"], dtype=np.int64)
@@ -328,10 +331,9 @@ def transform_slide(slide: Slide, manifest: dict) -> Slide:
         raise DataFormatError(f"{slide.slide_id}: gene_num={slide.gene_num} does not hold the manifest's "
                               f"hvg_indices {hvg.min()}..{hvg.max()}")
     names = [slide.gene_names[i] for i in hvg]
-    expected = manifest.get("hvg_gene_names", names)
-    if names != expected:
+    if names != manifest["hvg_gene_names"]:
         raise DataFormatError(f"{slide.slide_id}: gene_names at the manifest's hvg_indices are {names!r}, "
-                              f"its hvg_gene_names {expected!r}")
+                              f"its hvg_gene_names {manifest['hvg_gene_names']!r}")
     keep = kept_spots(slide)
     if not keep.all():
         log.warning("%s: dropping %d zero-count spots", slide.slide_id, np.count_nonzero(~keep))
@@ -436,6 +438,8 @@ class GenConfig:
         c, h, w = self.patch_shape
         if c < 1 or h < 4 or w < 4:
             raise DataFormatError(f"synth_generate: patch shape {self.patch_shape} too small")
+        if self.library_size < 1:
+            raise DataFormatError(f"synth_generate: library_size={self.library_size} must be at least 1")
         if self.spots_per_slide > self.coord_max * self.coord_max:
             raise DataFormatError("synth_generate: more spots than distinct coordinates")
 

@@ -65,6 +65,14 @@ class TestGenData:
         assert not out.exists()
         assert not list(tmp_path.glob(".tmp-*"))
 
+    @pytest.mark.parametrize("library_size", [0, -5])
+    def test_library_size_below_one_rejected(self, tmp_path, capsys, library_size):
+        out = tmp_path / "d"
+        assert main(["gen-data", "--set", f"data.library_size={library_size}", "--out", str(out)]) == 1
+        assert f"library_size={library_size} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.glob(".tmp-*"))
+
     def test_existing_output_rejected(self, tmp_path):
         cfg = micro_config(tmp_path)
         out = tmp_path / "occupied"
@@ -126,6 +134,19 @@ class TestValidation:
         out = tmp_path / "x"
         assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 1
         assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("gen-data", ["--seed", "-1"]),
+        ("gen-data", ["--set", "seed=-1"]),
+        ("grad-check", ["--seed", "-1"]),
+    ])
+    def test_negative_seed_rejected_naming_it(self, tmp_path, capsys, monkeypatch, command, flags):
+        monkeypatch.setattr(cli, "synth_generate", lambda *a: pytest.fail("generated before the check"))
+        monkeypatch.setattr(cli, "run_gradient_suite", lambda *a, **k: pytest.fail("checked before the seed"))
+        out = tmp_path / "x"
+        assert main([command, *flags, "--out", str(out)]) == 1
+        assert "config key seed=-1 must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_echo_written(self, tmp_path):
@@ -219,19 +240,6 @@ class TestPipeline:
         assert rc == 1
         assert not (root / "leak").exists()
 
-    def test_checkpoint_without_gene_names_predicts_the_same(self, pipeline, tmp_path):
-        """A checkpoint written before the manifest recorded hvg_gene_names still loads and predicts."""
-        root, cfg = pipeline
-        shutil.copytree(root / "ck", tmp_path / "ck")
-        path = tmp_path / "ck" / "manifest.json"
-        manifest = json.loads(path.read_text())
-        del manifest["preprocess"]["hvg_gene_names"]
-        path.write_text(json.dumps(manifest))
-        assert main(["predict", "--config", str(cfg), "--seed", "7", "--checkpoint", str(tmp_path / "ck"),
-                     "--index", str(root / "idx"), "--slide", str(root / "data" / "slide_001"),
-                     "--out", str(tmp_path / "pred")]) == 0
-        assert dir_bytes(tmp_path / "pred") == dir_bytes(root / "pred")
-
     def test_summary_has_ari_for_labeled_slide(self, pipeline):
         root, _ = pipeline
         summary = json.loads((root / "ev" / "summary.json").read_text())
@@ -321,6 +329,15 @@ CHECKPOINT_FIELD_CORRUPTIONS = [
     (_set("preprocess.hvg_indices", "0,1"), "preprocess.hvg_indices"),
     (_set("params.total_bytes", "1024"), "params.total_bytes"),
     (_set("params.entries.0.offset", 0.0), "params.entries.0.offset"),
+    # every setting is required, each missing one named: a field added to a config gets its row here
+    *((_set(f"{section}.{f.name}", None), f"{section}.{f.name}")
+      for section, cls in (("encoder", EncoderConfig), ("train", TrainConfig)) for f in dataclasses.fields(cls)),
+    (_set("preprocess.hvg_gene_names", None), "preprocess.hvg_gene_names"),
+    (_set("loss_history", None), "loss_history"),
+    # an earlier release wrote these retired fields at the values the code now fixes; such a checkpoint is retrained
+    *((_set(dotted, value), dotted) for dotted, value in (
+        ("encoder.attn_residual", True), ("train.learn_temperature", False), ("train.beta1", 0.9),
+        ("train.beta2", 0.999), ("train.epsilon", 1e-8))),
 ]
 # (artifact under the pipeline root, corruption)
 ARTIFACT_CORRUPTIONS = [
@@ -737,23 +754,6 @@ class TestPreflight:
         assert message in err and str(ck / "manifest.json") in err
         assert not out.exists()
 
-    def test_checkpoint_with_retired_fields_at_their_fixed_values_loads(self, pipeline, tmp_path):
-        root, cfg = pipeline
-        ck = tmp_path / "ck"
-        shutil.copytree(root / "ck", ck)
-        manifest = json.loads((ck / "manifest.json").read_text())
-        manifest["encoder"]["attn_residual"] = True
-        manifest["train"].update(learn_temperature=False, beta1=0.9, beta2=0.999, epsilon=1e-8)
-        for entry in manifest["params"]["entries"]:
-            entry["frozen"] = False
-        (ck / "manifest.json").write_text(json.dumps(manifest))
-        args = ["--config", str(cfg), "--checkpoint", str(ck)]
-        assert main(["embed", *args, "--data", str(root / "data"), "--out", str(tmp_path / "idx")]) == 0
-        assert main(["predict", *args, "--index", str(tmp_path / "idx"), "--slide",
-                     str(root / "data" / "slide_001"), "--out", str(tmp_path / "pred")]) == 0
-        for name in ("idx/embeddings.f32", "pred/expression.f32"):
-            assert (tmp_path / name).read_bytes() == (root / name).read_bytes()
-
     @pytest.mark.parametrize("use_positional, rc", [("true", 1), ("false", 2)])
     def test_positional_table_smaller_than_coordinates(self, pipeline, tmp_path, capsys, monkeypatch,
                                                        use_positional, rc):
@@ -789,6 +789,20 @@ class TestPreflight:
                      "--out", str(out)]) == 1
         assert f"config key {key}" in capsys.readouterr().err
         assert not out.exists()
+        assert not list(tmp_path.glob(".tmp-*"))
+
+    @pytest.mark.parametrize("clusters, rc", [(25, 1), (24, 0)])  # slide_001 keeps all of its 24 spots
+    def test_eval_clusters_above_the_spot_count_rejected_before_anything_is_staged(self, pipeline, tmp_path, capsys,
+                                                                                   monkeypatch, clusters, rc):
+        root, cfg = pipeline
+        if rc == 1:
+            monkeypatch.setattr(cli.ev, "compute_metrics", lambda *a, **k: pytest.fail("metrics computed"))
+        out = tmp_path / "ev"
+        assert main(["eval", "--config", str(cfg), "--set", f"eval.clusters={clusters}", "--pred", str(root / "pred"),
+                     "--slide", str(root / "data" / "slide_001"), "--checkpoint", str(root / "ck"),
+                     "--out", str(out)]) == rc
+        assert (f"config key eval.clusters={clusters} exceeds the 24 spots" in capsys.readouterr().err) == (rc == 1)
+        assert out.exists() == (rc == 0)
         assert not list(tmp_path.glob(".tmp-*"))
 
     @pytest.mark.parametrize("command, zeroed", [
@@ -891,8 +905,8 @@ class TestSchema:
         config = cli.default_config()
         assert cli.config_object(config, GenConfig) == GenConfig()
         assert cli.config_object(config, TrainConfig, seed=config["seed"]) == TrainConfig()
-        enc = cli.config_object(config, EncoderConfig, hvg_num=64, patch_shape=(3, 32, 32))
-        assert enc == EncoderConfig(hvg_num=64, patch_shape=(3, 32, 32))
+        inputs = {"hvg_num": 64, "input_kind": "pixels", "patch_shape": (3, 32, 32), "input_feat_dim": None}
+        assert cli.config_object(config, EncoderConfig, **inputs) == EncoderConfig(**inputs)
 
     @pytest.mark.parametrize("dotted", sorted(CHANGED_VALUES))
     def test_set_reaches_its_consumer(self, pipeline, tmp_path, monkeypatch, dotted):

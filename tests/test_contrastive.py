@@ -287,7 +287,7 @@ class TestCheckpointRoundTrip:
         assert back.encoder_config == TINY_ENC  # tuple fields come back as tuples
         assert back.train_config == tcfg
 
-    def test_earlier_manifest_still_loads(self, tmp_path):
+    def test_earlier_manifest_refused_naming_a_retired_field(self, tmp_path):
         # the "encoder" and "train" sections exactly as an earlier release wrote them
         # (stexp train on the tests/test_cli.py micro config, --seed 7)
         written = json.loads(
@@ -298,31 +298,32 @@ class TestCheckpointRoundTrip:
             ' "epochs": 3, "epsilon": 1e-08, "learn_temperature": false, "learning_rate": 0.002,'
             ' "seed": 7, "temperature": 0.1}}'
         )
+        with pytest.raises(ValueError, match="field encoder.attn_residual is not a EncoderConfig field"):
+            load_checkpoint(_write_checkpoint_dir(tmp_path / "ck", written))
+        # the manifest written today has the same sections, key for key, minus the retired ones
         enc_cfg = EncoderConfig(hvg_num=8, d_embed=16, n_heads=2, conv_channels=(6,),
                                 proj_hidden=16, patch_shape=(3, 8, 8))
         tcfg = TrainConfig(batch_size=8, epochs=3, learning_rate=2e-3, temperature=0.1, seed=7)
-        ckpt = load_checkpoint(_write_checkpoint_dir(tmp_path / "ck", written))
-        assert ckpt.encoder_config == enc_cfg
-        assert ckpt.train_config == tcfg
-        # and the manifest written today has the same sections, key for key, minus the retired ones
         retired = {"encoder": {"attn_residual"}, "train": {"learn_temperature", "beta1", "beta2", "epsilon"}}
         earlier = {section: {k: v for k, v in values.items() if k not in retired[section]}
                    for section, values in written.items()}
         assert json.loads(json.dumps({"encoder": asdict(enc_cfg), "train": asdict(tcfg)})) == earlier
+        ckpt = load_checkpoint(_write_checkpoint_dir(tmp_path / "today", earlier))
+        assert (ckpt.encoder_config, ckpt.train_config) == (enc_cfg, tcfg)
 
     @pytest.mark.parametrize("section, field, value", [
         ("encoder", "attn_residual", False),
         ("train", "learn_temperature", True),
         ("train", "epsilon", 1e-6),
     ])
-    def test_retired_field_at_another_value_fails_when_the_checkpoint_loads(self, tiny_processed, tmp_path,
-                                                                           section, field, value):
+    def test_retired_field_fails_as_unknown_when_the_checkpoint_loads(self, tiny_processed, tmp_path,
+                                                                      section, field, value):
         tcfg = TrainConfig(batch_size=16, epochs=1, temperature=0.05, seed=9)
         save_checkpoint(fit(tiny_processed, tcfg, TINY_ENC), tmp_path / "ck")
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
         manifest[section][field] = value
         (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=f"{section}.{field}={value!r} is no longer supported"):
+        with pytest.raises(ValueError, match=f"manifest.json: field {section}.{field} is not a"):
             load_checkpoint(tmp_path / "ck")
 
     def test_manifest_records_the_run(self, tiny_processed, tmp_path):
@@ -348,8 +349,9 @@ def _write_checkpoint_dir(directory, sections: dict):
     """A parameterless checkpoint directory whose manifest holds `sections`; returns the directory."""
     directory.mkdir()
     manifest = {**sections,
-                "preprocess": {"target_sum": 10000.0, "transform": "log1p", "hvg_indices": [], "train_ids": []},
-                "params": {"dtype": "<f4", "total_bytes": 0, "entries": []}}
+                "preprocess": {"target_sum": 10000.0, "transform": "log1p", "hvg_indices": [], "hvg_gene_names": [],
+                               "train_ids": []},
+                "params": {"dtype": "<f4", "total_bytes": 0, "entries": []}, "loss_history": []}
     (directory / "manifest.json").write_text(json.dumps(manifest))
     (directory / "params.f32").write_bytes(b"")
     return directory

@@ -208,17 +208,8 @@ class TestPreprocess:
         slide = make_slide(spots=12, genes=9)
         manifest = dict(preprocess([slide], hvg_num=4, train_ids=[slide.slide_id]).manifest)
         manifest["hvg_indices"] = [0, index]
-        del manifest["hvg_gene_names"]
         with pytest.raises(DataFormatError, match=f"{slide.slide_id}: gene_num=9 does not hold"):
             transform_slide(slide, manifest)
-
-    def test_manifest_without_panel_names_still_applies(self):
-        slide = make_slide(spots=12, genes=9)
-        ds = preprocess([slide], hvg_num=4, train_ids=[slide.slide_id])
-        earlier = {key: value for key, value in ds.manifest.items() if key != "hvg_gene_names"}
-        again = transform_slide(slide, earlier)
-        np.testing.assert_array_equal(again.expression, ds.slides[0].expression)
-        assert again.gene_names == ds.gene_names
 
     @pytest.mark.parametrize("hvg_num", [5, 0, -4])
     def test_hvg_num_outside_one_to_gene_num_rejected(self, hvg_num):
@@ -349,7 +340,7 @@ def test_settings_have_one_json_reader():
     assert _owners("typing.get_origin(") == [("data", "json_type_ok")]
     assert _owners("typing.get_args(") == [("data", "json_type_ok")] * 2
     calls = [owner for owner in _owners("config_from_json(") if owner != ("data", "config_from_json")]
-    assert calls == [("cli", "config_object"), ("contrastive", "_manifest_config")]
+    assert calls == [("cli", "config_object"), ("contrastive", "load_checkpoint"), ("contrastive", "load_checkpoint")]
 
 
 def test_read_json_names_the_file_and_a_missing_required_key(tmp_path):
@@ -364,9 +355,9 @@ def test_read_json_names_the_file_and_a_missing_required_key(tmp_path):
 
 
 def test_checkpoint_settings_are_parsed_once_when_it_loads():
-    # the definition, then the encoder and train sections' calls in load_checkpoint
+    # the encoder and train sections' calls in load_checkpoint, beside the CLI's call and the definition
     load = ("contrastive", "load_checkpoint")
-    assert _owners("_manifest_config(") == [("contrastive", "_manifest_config"), load, load]
+    assert _owners("config_from_json(") == [("cli", "config_object"), load, load, ("data", "config_from_json")]
     # a checkpoint holds typed settings; the only manifest read by key is a ProcessedDataset's own
     assert _owners(".manifest[") == [("data", "train_slides"), ("data", "test_slides")]
 
