@@ -189,7 +189,8 @@ def config_object(config: dict, cls, **derived):
         if key.owner is cls:
             node, name = _slot(config, dotted)
             values[key.field] = node[name]
-    return config_from_json(cls, values, "config key ", **derived)
+    section = next(name for name, (owner, _) in _DATACLASS_SECTIONS.items() if owner is cls)
+    return config_from_json(cls, values, f"config key {section}.", **derived)
 
 
 def _encoder_config(config: dict, slides) -> EncoderConfig:

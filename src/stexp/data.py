@@ -148,7 +148,8 @@ field_hints = functools.cache(typing.get_type_hints)  # {field: annotation} of a
 def config_from_json(cls, values: dict, where: str, **derived):
     """A `cls` from JSON `values`, every field but the `derived` ones no JSON holds, each checked by json_type_ok.
 
-    An error names the field as `where` + its name. A list fits only a tuple field, so each becomes a tuple.
+    An error names the field as `where` + its name, and a value `cls` itself refuses is reported after `where`
+    (its trailing dot dropped). A list fits only a tuple field, so each becomes a tuple.
     """
     hints = field_hints(cls)
     for name, value in values.items():
@@ -159,7 +160,10 @@ def config_from_json(cls, values: dict, where: str, **derived):
     for name in hints:
         if name not in values and name not in derived:
             raise DataFormatError(f"{where}{name} is missing")
-    return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in values.items()}, **derived)
+    try:
+        return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in values.items()}, **derived)
+    except ValueError as e:  # a value the class's own check refuses, such as a count out of range
+        raise DataFormatError(f"{where.rstrip('. ')}: {e}") from None
 
 
 def read_json(path: str | Path, required: dict | None = None):

@@ -1,15 +1,27 @@
 """Reference index over training spots and expression prediction by retrieval.
 
 A query patch is embedded into the joint space, the top-k reference spots by
-cosine similarity are fetched from a flat store by an exact scan (one float32
-GEMM per block of index rows against all queries, merged into a running
-per-query top-k; ties at the k-th cosine go to the lower row id), and their
+cosine similarity are fetched from a flat store by an exact scan, and their
 observed expressions are combined with inverse-square Euclidean-distance
 weights (computed in the embedding space). The scan runs on one thread per
 CPU the BLAS leaves free (set OPENBLAS_NUM_THREADS=1 to free them): each
-thread takes the next unscanned block when it finishes one, keeps its own
-top-k, and the threads' lists are merged by (-cosine, row id), so the lower
-row id still wins a tie.
+thread takes the next unscanned block of index rows when it finishes one,
+keeps its own top-k, and the threads' lists are merged by (-cosine, row id),
+so ties at the k-th cosine go to the lower row id.
+
+The scan works in two stages. A thread's first block is scored in full, one
+float32 GEMM against all queries, which sets each query's k-th cosine. Every
+later block is screened first: a projection of the rows onto their top
+eigenvectors (CosineBound, derived from the embeddings by the first search
+that needs it, never saved) gives, by one small GEMM and Cauchy-Schwarz, an
+upper bound on each row's cosine with each query. A row whose bound plus a float32 error margin stays
+below every query's current k-th cosine cannot enter any top k, so it is
+dropped; the survivors are scored by the same float32 GEMM, whose scores for
+a subset of rows are bitwise those of the whole block. The result is the
+exact top k of the float32 scores, bit for bit the one-stage scan's. An index
+whose rows the bound cannot summarize (a median residual above
+BOUND_MAX_RESIDUAL, as for random rows) keeps no bound and is scored in full,
+and a thread whose bound keeps most of a block scores the rest whole.
 
 Selection costs little beside the GEMM. A thread's first block is
 transposed to query-major order in strips of TRANSPOSE_STRIP_ROWS rows (one
@@ -29,13 +41,14 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import encoders as enc
 from .contrastive import Checkpoint
-from .data import Slide, read_blob, read_json
+from .data import DataFormatError, Slide, read_blob, read_json
 
 NEAR_ZERO_DISTANCE = 1e-8  # below this, the nearest neighbor is returned verbatim
 UNIT_NORM_TOL = 1e-5  # an index row's norm may differ from 1 by this much
@@ -43,6 +56,17 @@ UNIT_NORM_TOL = 1e-5  # an index row's norm may differ from 1 by this much
 SEARCH_BLOCK_BYTES = 4 << 20
 # Rows per strip when the first block's tile is transposed: each strip's reads and writes stay in cache.
 TRANSPOSE_STRIP_ROWS = 256
+FLOAT32_UNIT_ROUNDOFF = 2.0**-24
+BOUND_RANK = 64  # eigenvectors whose coordinates the cosine bound keeps (at most d_embed)
+BOUND_BANDS = 4  # then bands of the next eigenvectors, each kept as one norm
+BOUND_BAND_WIDTH = 16
+BOUND_SAMPLE_STEP = 8  # the eigenvectors are those of the Gram matrix of every 8th index row
+# A bound whose median sampled row has a residual norm above this prunes next to nothing, so none is kept.
+BOUND_MAX_RESIDUAL = 0.5
+BOUND_BLOCK_ROWS = 1024  # rows per float64 block while the bound's table is computed
+# OpenBLAS computes a product of at most 100**3 multiply-adds in its small-matrix kernels and a one-column
+# product by gemv, which order their sums differently: a rescored subset of a block must be larger.
+SMALL_GEMM_MACS = 100**3
 
 
 class LeakageError(ValueError):
@@ -54,6 +78,110 @@ def _check_unit_rows(h: np.ndarray, name: str) -> None:
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # a NaN norm fails too
     if bad.size:
         raise ValueError(f"{name}: row {int(bad[0])} has norm {norms[bad[0]]:.6f}, expected 1 +/- {UNIT_NORM_TOL}")
+
+
+def _gamma(terms: int) -> float:
+    """gamma_n = n u / (1 - n u): a float32 sum of n products is within gamma_n * sum|products| of the exact one."""
+    return terms * FLOAT32_UNIT_ROUNDOFF / (1.0 - terms * FLOAT32_UNIT_ROUNDOFF)
+
+
+def _up_f32(x: np.ndarray) -> np.ndarray:
+    """float32 values no smaller than the float64 `x`: the cast is within half an ulp, so one ulp up covers it."""
+    return np.nextafter(x.astype(np.float32), np.float32(np.inf))
+
+
+@dataclass(frozen=True)
+class CosineBound:
+    """An upper bound on the scan's float32 score of every (index row, query) pair, from a projection of the rows.
+
+    V (`basis`, orthonormal float64 columns) holds the top eigenvectors of the
+    Gram matrix of every BOUND_SAMPLE_STEP-th row; any orthonormal V gives a
+    valid bound, and a sample only loosens it. Its first r = BOUND_RANK
+    columns are kept as coordinates, the next ones in BOUND_BANDS bands of
+    BOUND_BAND_WIDTH, and the rest of the space as one remainder. For a row
+    e and a query q, with p = V_r^T e, e_j = V_j^T e for band j and e_rest
+    the remainder (likewise for q), Cauchy-Schwarz gives
+
+        <e, q> = <p, V_r^T q> + sum_j <e_j, q_j> + <e_rest, q_rest>
+              <= <p, V_r^T q> + sum_j |e_j| |q_j| + |e_rest| |q_rest|.
+
+    The bands help because the rows' energy beyond the first r directions
+    sits mostly in the next few, while a query's may not: per band the
+    product of norms is small even where |e_perp| |q_perp| is not.
+
+    Row i of `table` holds a = p rounded to float32, then the band norms and
+    |e_rest| (from |e|^2 less the projected squares), computed in float64
+    and rounded up. `query_side` makes the same columns (b, ...) for each
+    query, and one float32 GEMM over them gives the bound of every pair. A
+    pair is dropped only when that bound is below the query's k-th cosine
+    less its margin, `slack` |q|. The margin covers every float32 error
+    between the bound and the scan's score (u = 2^-24, gamma_n =
+    n u / (1 - n u), each relative to |e| |q|, K the table's width):
+
+    - the scan's score, a float32 sum of d products, is within gamma_d of <e, q>;
+    - a and b are float64 products rounded to float32, so <a, b> is within
+      2 u of <p, V_r^T q> (the norms already round up);
+    - the bound's GEMM is within gamma_K times the norms of a table row and
+      a query column, which exceed |e| and |q| by far less than a factor 2
+      (2 gamma_K);
+    - the threshold, k-th cosine less margin, is rounded to float32 (u);
+    - float64 errors (~1e-14) sit inside the 2^-40 |x|^2 added to each
+      squared remainder, and a spare u.
+
+    So a dropped pair scores below the k-th cosine: no false dismissals
+    (the lower-bounding lemma of GEMINI, Faloutsos et al., SIGMOD 1994).
+    """
+
+    basis: np.ndarray  # [d, rank + band columns] float64
+    rank: int  # the leading columns of `basis`, kept as coordinates
+    table: np.ndarray  # [N_ref, K] float32: a, band norms, remainder norm
+    slack: float  # the margin per unit of |q|, for the longest row
+
+    @classmethod
+    def of(cls, embeddings: np.ndarray) -> CosineBound | None:
+        """The bound of float32 rows; None when the median sampled row has more than BOUND_MAX_RESIDUAL outside its top
+        BOUND_RANK directions."""
+        d = embeddings.shape[1]
+        rank = min(BOUND_RANK, d)
+        sample = embeddings[::BOUND_SAMPLE_STEP]
+        _, vectors = np.linalg.eigh((sample.T @ sample).astype(np.float64))  # ascending eigenvalues
+        basis = np.ascontiguousarray(vectors[:, ::-1][:, : min(d, rank + BOUND_BANDS * BOUND_BAND_WIDTH)])
+        sampled = sample @ basis[:, :rank].astype(np.float32)
+        residual = np.einsum("ij,ij->i", sample, sample) - np.einsum("ij,ij->i", sampled, sampled)
+        if not np.median(residual) <= BOUND_MAX_RESIDUAL**2:  # the bound would prune almost nothing
+            return None
+        table = np.empty((len(embeddings), rank + len(range(rank, basis.shape[1], BOUND_BAND_WIDTH)) + 1),
+                         dtype=np.float32)
+        max_sq_norm = 0.0
+        for lo in range(0, len(embeddings), BOUND_BLOCK_ROWS):  # float64, a block of rows at a time
+            rows = slice(lo, lo + BOUND_BLOCK_ROWS)
+            table[rows], sq_norms = _bound_columns(embeddings[rows], basis, rank)
+            max_sq_norm = max(max_sq_norm, sq_norms.max())
+        terms = _gamma(d) + 2.0 * _gamma(table.shape[1]) + 4.0 * FLOAT32_UNIT_ROUNDOFF  # see the class docstring
+        return cls(basis, rank, table, terms * float(np.sqrt(max_sq_norm)))
+
+    def query_side(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """[K, m] float32 bound columns of the queries, and each query's margin, slack * |q|."""
+        columns, sq_norms = _bound_columns(queries, self.basis, self.rank)
+        return np.ascontiguousarray(columns.T), self.slack * np.sqrt(sq_norms)
+
+
+def _bound_columns(x: np.ndarray, basis: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """[len(x), K] float32 bound columns of the rows `x` (coordinates, band norms, remainder norm), and |x|^2.
+
+    Computed in float64; norms round up, and 2^-40 |x|^2 covers the float64 error of the remainder.
+    """
+    x = x.astype(np.float64)
+    sq_norms = np.einsum("ij,ij->i", x, x)
+    projected = x @ basis
+    band_starts = np.arange(rank, basis.shape[1], BOUND_BAND_WIDTH)
+    columns = np.empty((len(x), rank + len(band_starts) + 1), dtype=np.float32)
+    columns[:, :rank] = projected[:, :rank]
+    if len(band_starts):
+        columns[:, rank:-1] = _up_f32(np.sqrt(np.add.reduceat(projected**2, band_starts, axis=1)))
+    rest = np.maximum(sq_norms - np.einsum("ij,ij->i", projected, projected), 0.0) + 2.0**-40 * sq_norms
+    columns[:, -1] = _up_f32(np.sqrt(rest))
+    return columns, sq_norms
 
 
 @dataclass
@@ -75,6 +203,14 @@ class RetrievalIndex:
     @property
     def size(self) -> int:
         return self.embeddings.shape[0]
+
+    @cached_property
+    def bound(self) -> CosineBound | None:
+        """The rows' cosine bound, derived once, by the first search that screens; None where it would prune little.
+
+        Rows written in place after that search would not be seen: an index's rows are fixed once it is built.
+        """
+        return CosineBound.of(self.embeddings)
 
 
 def _embed_batches(spot_num: int, checkpoint: Checkpoint, embed) -> np.ndarray:
@@ -163,7 +299,8 @@ def _cosine_order(c: np.ndarray) -> np.ndarray:
     return np.where(bits < 0, -(bits & 0x7FFFFFFF), bits)
 
 
-def _scan_blocks(emb: np.ndarray, q_t: np.ndarray, k: int, block: int, claim) -> tuple[np.ndarray, np.ndarray]:
+def _scan_blocks(emb: np.ndarray, q_t: np.ndarray, k: int, block: int, claim,
+                 screen: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact [m, k] top rows and cosines, ranked by (-cos, row id), of the blocks of `emb` that `claim` hands out.
 
     Each block of rows is scored against all queries by one float32 GEMM into
@@ -178,15 +315,42 @@ def _scan_blocks(emb: np.ndarray, q_t: np.ndarray, k: int, block: int, claim) ->
     the cosine's order-preserving bits, in which -0.0 and +0.0 are one value:
     equal cosines keep their arrival order, ascending row id. Slots that no
     row fills hold row id len(emb) and -inf.
+
+    With a `screen` (a CosineBound's table, its query side and the queries'
+    margins), a later block is first bounded by one [rows, K] x [K, m] GEMM,
+    and only its rows whose bound plus margin reaches some query's k-th
+    cosine are scored, by the same GEMM on that subset of rows, gathered into
+    a reused buffer: a dropped row scores below every k-th cosine, so it
+    could not have been a candidate. The subset is padded with the block's
+    first rows to more than SMALL_GEMM_MACS multiply-adds, where its scores
+    are bitwise the whole tile's (the caller screens no single query: a
+    one-column product is a gemv). A block too small for that is scored
+    whole, and once the bound keeps more than 3/4 of a block's rows the
+    thread scores the rest whole. (It keeps fewer as the k-th cosines rise:
+    a first screened block that keeps half its rows is worth screening on.)
     """
-    (n, _), m = emb.shape, q_t.shape[1]
+    (n, d), m = emb.shape, q_t.shape[1]
     rows = np.full((m, k), n, dtype=np.int64)
     cosines = np.full((m, k), -np.inf, dtype=emb.dtype)
     tile = np.empty((min(block, n), m), dtype=emb.dtype)  # reused: a fresh tile per block page-faults
     mask = np.empty(tile.shape, dtype=bool)
+    min_subset = SMALL_GEMM_MACS // (m * d) + 1
+    kept_rows = np.empty((len(tile) * 3 // 4, d), dtype=emb.dtype) if screen is not None else None  # reused
     first = True
     while (lo := claim()) is not None:
         chunk = emb[lo : lo + block]
+        kept = None  # the block's rows that are scored, when not all of them
+        if screen is not None and not first and len(chunk) > min_subset:
+            table, u_t, margins = screen
+            bounds = np.matmul(table[lo : lo + block], u_t, out=tile[: len(chunk)])
+            floor = (cosines[:, -1] - margins).astype(emb.dtype)
+            live = np.greater_equal(bounds, floor, out=mask[: len(chunk)]).any(axis=1)
+            live[:min_subset] = True
+            if 4 * np.count_nonzero(live) > 3 * len(chunk):
+                screen = None  # the bound keeps most rows: this thread scores its remaining blocks whole
+            else:
+                kept = np.flatnonzero(live)
+                chunk = np.take(chunk, kept, axis=0, out=kept_rows[: len(kept)], mode="clip")  # "raise" adds a copy
         scores = np.matmul(chunk, q_t, out=tile[: len(chunk)])  # [rows, m]
         top_k_in_block = first and len(scores) >= k
         if top_k_in_block:  # every row at or above each query's k-th score
@@ -201,7 +365,7 @@ def _scan_blocks(emb: np.ndarray, q_t: np.ndarray, k: int, block: int, claim) ->
         r, qi = np.divmod(np.flatnonzero(hit), m)  # 2-D np.nonzero is ~10x slower
         if not r.size:
             continue
-        c, r = scores[r, qi], r + lo
+        c, r = scores[r, qi], (r if kept is None else kept[r]) + lo
         hit_q = np.flatnonzero(np.bincount(qi, minlength=m))
         if not top_k_in_block:  # merge with the hit queries' current top k, which precede this block's rows
             qi = np.concatenate((np.repeat(hit_q, k), qi))
@@ -236,26 +400,33 @@ def search(index: RetrievalIndex, queries: np.ndarray, k: int) -> tuple[np.ndarr
     """Exact top-k reference rows of each query by cosine, ranked.
 
     Returns [m, k] arrays of row ids, cosines and Euclidean distances. The
-    index is read once, in blocks of rows taken in ascending order by one
-    or more worker threads: each block is scored against all queries by one
-    float32 GEMM whose [rows, m] tile stays within SEARCH_BLOCK_BYTES and
-    merged into its thread's running top k. A thread takes the next block
-    when it finishes one, so a thread slowed by a busy CPU scans fewer
-    blocks instead of holding up the rest. A thread's first block sets its
-    k-th cosines by a partition of the tile, transposed in strips; later
-    blocks admit only rows beating them, compared against a contiguous copy.
-    Candidates are ranked by one int64 key per entry (query, then the
-    cosine's monotone bit pattern, with -0.0 equal to +0.0) in a stable
-    sort that keeps the lower row id first among equal cosines. The
-    threads' lists are merged by (-cosine, row id), so ties at the k-th
-    cosine still go to the lower row id and the result is the exact top k
-    of the float32 scores, whichever thread scanned which block. There is
-    one worker per CPU the BLAS leaves free (CPUs divided by
-    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else by the CPU count
-    itself), at most one per full tile; with one worker the whole index is
-    scanned inline and no thread starts. For unit vectors d^2 = 2 - 2 cos
-    within float tolerance. Embeddings of any float type are held as
-    float32 (RetrievalIndex casts them).
+    index is read in blocks of rows taken in ascending order by one or more
+    worker threads; a block's [rows, m] score tile stays within
+    SEARCH_BLOCK_BYTES. A thread takes the next block when it finishes one,
+    so a thread slowed by a busy CPU scans fewer blocks instead of holding up
+    the rest. A thread's first block is scored against all queries by one
+    float32 GEMM, and a partition of the tile (transposed in strips) sets its
+    k-th cosines. Each later block is screened by the index's CosineBound:
+    one [rows, K] x [K, m] GEMM bounds every row's cosine with every query
+    from above, and only the rows whose bound plus margin reaches some
+    query's current k-th cosine are scored, by the same GEMM on that subset.
+    The margin covers the float32 error of both the bound and the score, so
+    no dropped row could have entered the top k (no false dismissals), and a
+    subset of more than SMALL_GEMM_MACS multiply-adds scores bitwise as the
+    whole block does: the rows and cosines are the one-stage scan's, bit for
+    bit. With one query, an index within one block per thread, or an index
+    without a bound, every block is scored whole. Candidates are ranked by
+    one int64 key per entry (query, then the cosine's monotone bit pattern,
+    with -0.0 equal to +0.0) in a stable sort that keeps the lower row id
+    first among equal cosines. The threads' lists are merged by (-cosine,
+    row id), so ties at the k-th cosine still go to the lower row id and the
+    result is the exact top k of the float32 scores, whichever thread scanned
+    which block. There is one worker per CPU the BLAS leaves free (CPUs
+    divided by OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else by the CPU
+    count itself), at most one per full tile; with one worker the whole
+    index is scanned inline and no thread starts. For unit vectors
+    d^2 = 2 - 2 cos within float tolerance. Embeddings of any float type are
+    held as float32 (RetrievalIndex casts them).
     """
     emb = index.embeddings
     queries = np.asarray(queries, dtype=emb.dtype)
@@ -271,16 +442,21 @@ def search(index: RetrievalIndex, queries: np.ndarray, k: int) -> tuple[np.ndarr
     q_t = np.ascontiguousarray(queries.T)
     block = max(k, SEARCH_BLOCK_BYTES // (m * emb.itemsize))
     workers, claim = _scan_workers(n, block), _block_claims(n, block)
+    screen = None
+    if m > 1 and n > workers * block and index.bound is not None:  # a lone query is scored by gemv
+        screen = (index.bound.table, *index.bound.query_side(queries))
     if workers == 1:
-        rows, cosines = _scan_blocks(emb, q_t, k, block, claim)
+        rows, cosines = _scan_blocks(emb, q_t, k, block, claim, screen)
     else:
         with ThreadPoolExecutor(workers) as pool:  # numpy's matmul releases the GIL
-            parts = [pool.submit(_scan_blocks, emb, q_t, k, block, claim) for _ in range(workers)]
+            parts = [pool.submit(_scan_blocks, emb, q_t, k, block, claim, screen) for _ in range(workers)]
             rows, cosines = _merge_top_k([part.result() for part in parts], k)
     ranks = max(1, SEARCH_BLOCK_BYTES // (m * d * emb.itemsize))  # caps the [m, ranks, d] differences
     for j in range(0, k, ranks):
-        diffs = emb[rows[:, j : j + ranks]] - queries[:, None, :]
-        dists[:, j : j + ranks] = np.sqrt(np.sum(diffs * diffs, axis=2))
+        diffs = np.take(emb, rows[:, j : j + ranks], axis=0)  # in place below: fresh temporaries cost ~2x
+        diffs -= queries[:, None, :]
+        diffs *= diffs
+        dists[:, j : j + ranks] = np.sqrt(np.sum(diffs, axis=2))
     return rows, cosines, dists
 
 
@@ -346,5 +522,18 @@ def load_index(directory: str | Path) -> RetrievalIndex:
     return RetrievalIndex(
         embeddings=read_blob(directory / "embeddings.f32", "<f4", (n, d)),
         expressions=read_blob(directory / "expressions.f32", "<f4", (n, g)),
-        provenance=[(str(sid), int(i)) for sid, i in meta["entries"]],
+        provenance=_provenance(meta["entries"], directory / "provenance.json"),
     )
+
+
+def _provenance(entries: list, path: Path) -> list[tuple[str, int]]:
+    """The (slide id, spot index) tuples of `entries`; the first entry that is no such pair is a DataFormatError.
+
+    A pair is a list of a string, then an int (no bool) of at least 0.
+    """
+    ok = [type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is int and e[1] >= 0 for e in entries]
+    if not all(ok):
+        i = ok.index(False)
+        raise DataFormatError(f"{path}: field entries.{i} is {json.dumps(entries[i])}, "
+                              "expected a [slide id, spot index >= 0] pair")
+    return [(e[0], e[1]) for e in entries]

@@ -304,6 +304,17 @@ def _set(dotted: str, value):
     return edit
 
 
+def _provenance_entry(i: int, entry):
+    """Replace entry i of an index's provenance.json."""
+    def edit(path: Path) -> None:
+        meta = json.loads(path.read_text())
+        meta["entries"][i] = entry
+        path.write_text(json.dumps(meta))
+
+    edit.__name__ = f"entries.{i}={json.dumps(entry)}"
+    return edit
+
+
 # (corruption of ck/manifest.json, the field its error names); entry 0 is attn.h0.wk, an [8, 4] tensor
 CHECKPOINT_FIELD_CORRUPTIONS = [
     (_set("preprocess.target_sum", 5000), "preprocess.target_sum"),
@@ -334,6 +345,9 @@ CHECKPOINT_FIELD_CORRUPTIONS = [
       for section, cls in (("encoder", EncoderConfig), ("train", TrainConfig)) for f in dataclasses.fields(cls)),
     (_set("preprocess.hvg_gene_names", None), "preprocess.hvg_gene_names"),
     (_set("loss_history", None), "loss_history"),
+    # a value of the right type that the config class itself refuses, named with its section
+    (_set("encoder.n_heads", 3), "field encoder: EncoderConfig: hvg_num=8 must be divisible by n_heads=3"),
+    (_set("train.epochs", 0), "field train: TrainConfig: epochs must be >= 1"),
     # an earlier release wrote these retired fields at the values the code now fixes; such a checkpoint is retrained
     *((_set(dotted, value), dotted) for dotted, value in (
         ("encoder.attn_residual", True), ("train.learn_temperature", False), ("train.beta1", 0.9),
@@ -354,6 +368,9 @@ ARTIFACT_CORRUPTIONS = [
     ("ck/manifest.json", _without("preprocess")),
     ("idx/provenance.json", _without("entries")),
     ("idx/provenance.json", _set("rows", 24.0)),
+    # each entry is a [slide id, spot index >= 0] pair
+    *(("idx/provenance.json", _provenance_entry(3, entry)) for entry in (
+        ["slide_000", 2.7], ["slide_000", "3"], [7, 3], ["slide_000", -1], ["slide_000", True], 5, ["slide_000"])),
     ("pred/meta.json", _without("slide_id")),
     ("pred/meta.json", _set("spot_num", "24")),
     ("pred/meta.json", _set("gene_num", 8.0)),
@@ -671,6 +688,18 @@ class TestTypedKeys:
         assert rc == 1
         assert not out.exists()
         assert not list(tmp_path.glob(".tmp-*"))
+
+    @pytest.mark.parametrize("assignment, message", [
+        ("train.epochs=0", "config key train: TrainConfig: epochs must be >= 1"),
+        ("encoder.n_heads=3", "config key encoder: EncoderConfig: hvg_num=8 must be divisible by n_heads=3"),
+    ])
+    def test_value_the_config_refuses_names_its_section(self, pipeline, tmp_path, capsys, assignment, message):
+        root, cfg = pipeline
+        out = tmp_path / "ck"
+        assert main(["train", "--config", str(cfg), "--set", assignment,
+                     "--data", str(root / "data"), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPreflight:

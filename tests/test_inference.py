@@ -7,7 +7,7 @@ import pytest
 
 from stexp import encoders, inference
 from stexp.contrastive import Checkpoint, TrainConfig, fit
-from stexp.data import GenConfig, load_dataset, preprocess, synth_generate
+from stexp.data import DataFormatError, GenConfig, load_dataset, preprocess, synth_generate
 from stexp.encoders import EncoderConfig
 from stexp.inference import (
     LeakageError,
@@ -642,3 +642,209 @@ class TestSelection:
         assert np.flatnonzero(first >= kth).min() >= strip  # every first-block candidate is in the last strip
         rows, _, _ = search(index, queries, k)
         np.testing.assert_array_equal(rows, brute_force(index, queries, k))
+
+
+class TestProvenanceEntries:
+    @pytest.mark.parametrize("entry", [["ref", 2.7], ["ref", "3"], [7, 1], ["ref", -1], ["ref", True], 5, ["ref"],
+                                       ["ref", 3, 0], None, {"ref": 3}],
+                             ids=["float", "str-index", "int-id", "negative", "bool", "bare-int", "one-item",
+                                  "three-items", "null", "object"])
+    def test_malformed_entry_named(self, tmp_path, entry):
+        save_index(make_index(), tmp_path / "idx")
+        path = tmp_path / "idx" / "provenance.json"
+        meta = json.loads(path.read_text())
+        meta["entries"][3] = entry
+        path.write_text(json.dumps(meta))
+        with pytest.raises(DataFormatError, match=r"provenance\.json: field entries\.3 is "):
+            load_index(tmp_path / "idx")
+
+    def test_pairs_load_as_tuples(self, tmp_path):
+        index = RetrievalIndex(embeddings=unit_rows(3, 8), expressions=np.zeros((3, 1), dtype=np.float32),
+                               provenance=[("a", 0), ("b", 2**40), ("", 5)])
+        save_index(index, tmp_path / "idx")
+        assert load_index(tmp_path / "idx").provenance == [("a", 0), ("b", 2**40), ("", 5)]
+
+
+def low_rank_rows(n, d, rank, noise, seed):
+    """Unit rows near a random rank-`rank` subspace, clustered around a few centres in it."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((d, rank)))[0]
+    centres = rng.standard_normal((8, rank))
+    h = (centres[rng.integers(0, 8, n)] + 0.3 * rng.standard_normal((n, rank))) @ basis.T
+    h += noise * rng.standard_normal((n, d))
+    return (h / np.linalg.norm(h, axis=1, keepdims=True)).astype(np.float32)
+
+
+def one_stage(index, queries, k):
+    """search with the bound switched off: every block scored whole."""
+    index.bound = None
+    try:
+        return search(index, queries, k)
+    finally:
+        del index.bound  # derived again by the next search
+
+
+class CountingNumpy:
+    """inference's numpy, recording the shapes of every matmul."""
+
+    def __init__(self):
+        self.matmuls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out=None):
+        self.matmuls.append((a.shape, b.shape))
+        return np.matmul(a, b, out=out)
+
+    def scored(self, d):
+        """Rows of each scoring GEMM (against d-dimensional queries), in call order."""
+        return [a[0] for a, b in self.matmuls if b[0] == d]
+
+
+def tile_scores(emb, q_t, block):
+    """Every float32 score, each block's tile computed whole as the one-stage scan computes it."""
+    return np.concatenate([np.matmul(emb[lo : lo + block], q_t) for lo in range(0, len(emb), block)])
+
+
+def float32_top_k(scores, k, allowed=None):
+    """[m, k] rows ranked by (-score, row id) over the float32 [rows, m] scores, among `allowed` rows."""
+    rows = np.flatnonzero(np.ones(len(scores), dtype=bool) if allowed is None else allowed)
+    order = np.lexsort((np.broadcast_to(rows, (scores.shape[1], len(rows))), -scores[rows].T.astype(np.float64)))
+    return rows[order[:, :k]]
+
+
+class TestTwoStageScan:
+    """The cosine bound screens later blocks; the result is the one-stage scan's, bit for bit."""
+
+    N, D, M, BLOCK = 4096, 64, 128, 512  # 8 blocks; a subset of 123 rows leaves OpenBLAS's small-matrix kernels
+
+    @pytest.fixture
+    def counting(self, monkeypatch):
+        numpy = CountingNumpy()
+        monkeypatch.setattr(inference, "np", numpy)
+        return numpy
+
+    @pytest.fixture(autouse=True)
+    def small(self, monkeypatch):
+        monkeypatch.setattr(inference, "BOUND_RANK", 8)
+        rows_per_block(monkeypatch, self.BLOCK, self.M)
+        stub_workers(monkeypatch, 1)
+
+    def low_rank(self):
+        """A low-rank index, and queries near 4 of its rows: each keeps few rows, so the bound prunes."""
+        emb = low_rank_rows(self.N, self.D, rank=6, noise=0.02, seed=31)
+        index = RetrievalIndex(embeddings=emb, expressions=np.zeros((self.N, 1), dtype=np.float32),
+                               provenance=[("r", i) for i in range(self.N)])
+        queries = np.repeat(emb[[5, 900, 2000, 3000]], self.M // 4, axis=0)
+        queries += 0.01 * np.random.default_rng(32).standard_normal(queries.shape).astype(np.float32)
+        return index, queries
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 7, 50])
+    def test_low_rank_index_matches_brute_force_bitwise(self, monkeypatch, workers, k):
+        index, queries = self.low_rank()
+        stub_workers(monkeypatch, workers)
+        rows, cosines, dists = got = search(index, queries, k)
+        assert index.bound is not None
+        scores = tile_scores(index.embeddings, np.ascontiguousarray(queries.T), self.BLOCK)
+        np.testing.assert_array_equal(rows, float32_top_k(scores, k))
+        assert same_bits([cosines], [np.take_along_axis(scores.T, rows, 1)])
+        assert same_bits(got, one_stage(index, queries, k))
+
+    def test_bound_prunes_most_rows(self, counting):
+        index, queries = self.low_rank()
+        got = search(index, queries, 10)
+        scored = counting.scored(self.D)
+        assert scored[0] == self.BLOCK and sum(scored) < self.N // 2  # the first block, then padded subsets
+        assert same_bits(got, one_stage(index, queries, 10))
+
+    def test_random_rows_keep_no_bound_and_score_every_row(self, counting):
+        index = make_index(n=self.N, d=self.D, seed=33)
+        queries = unit_rows(self.M, self.D, 34)
+        rows, _, _ = search(index, queries, 10)
+        assert index.bound is None
+        assert counting.scored(self.D) == [self.BLOCK] * (self.N // self.BLOCK)
+        np.testing.assert_array_equal(rows, brute_force(index, queries, 10))
+
+    def test_every_score_within_its_bound_plus_margin(self):
+        # rows and queries inside the basis' span: the bound is tight, so only the margin covers rounding
+        rng = np.random.default_rng(35)
+        basis = np.linalg.qr(rng.standard_normal((self.D, 8)))[0]
+        emb = rng.standard_normal((self.N, 8)) @ basis.T
+        emb = (emb / np.linalg.norm(emb, axis=1, keepdims=True)).astype(np.float32)
+        index = RetrievalIndex(embeddings=emb, expressions=np.zeros((self.N, 1), dtype=np.float32),
+                               provenance=[("r", i) for i in range(self.N)])
+        queries = emb[rng.integers(0, self.N, self.M)] * np.float32(0.75)  # margins scale with |q|
+        side, margins = index.bound.query_side(queries)
+        scores = tile_scores(emb, np.ascontiguousarray(queries.T), self.BLOCK).astype(np.float64)
+        bounds = np.matmul(index.bound.table, side).astype(np.float64)
+        assert np.max(scores - bounds) > 0  # without the margin some float32 score exceeds its bound
+        assert np.all(scores <= bounds + margins)
+
+    def test_bands_tighten_the_bound_and_keep_it_valid(self, monkeypatch):
+        # the rows' energy beyond the top 8 directions sits in the next 8; the queries' is spread over all 56
+        rng = np.random.default_rng(36)
+        axes = np.linalg.qr(rng.standard_normal((self.D, 16)))[0]
+        emb = rng.standard_normal((self.N, 16)) * np.r_[np.full(8, 1.0), np.full(8, 0.3)] @ axes.T
+        emb = (emb / np.linalg.norm(emb, axis=1, keepdims=True)).astype(np.float32)
+        queries = emb[rng.integers(0, self.N, self.M)] + 0.1 * rng.standard_normal((self.M, self.D)).astype(np.float32)
+        scores = tile_scores(emb, np.ascontiguousarray(queries.T), self.BLOCK).astype(np.float64)
+
+        def bounds(bands):
+            monkeypatch.setattr(inference, "BOUND_BANDS", bands)
+            bound = inference.CosineBound.of(emb)
+            assert bound.table.shape[1] == 8 + bands + 1
+            side, margins = bound.query_side(queries)
+            got = np.matmul(bound.table, side).astype(np.float64)
+            assert np.all(scores <= got + margins)
+            return got
+
+        banded, plain = bounds(4), bounds(0)
+        assert np.all(banded <= plain + 1e-6)  # per band, Cauchy-Schwarz is never looser than over their union
+        assert np.mean(plain - banded) > 0.25 * np.mean(plain - scores)
+
+    def screen_of(self, bounds):
+        """A screen whose bound of row i is bounds[i] against every query, exactly, with margin 1/8."""
+        table = np.asarray(bounds, dtype=np.float32)[:, None]
+        return table, np.ones((1, self.M), dtype=np.float32), np.full(self.M, 0.125)
+
+    def scan(self, emb, q_t, k, screen):
+        return inference._scan_blocks(emb, q_t, k, self.BLOCK, inference._block_claims(len(emb), self.BLOCK), screen)
+
+    def test_row_just_inside_the_margin_is_scored_and_just_outside_dropped(self):
+        # block 0 sets every query's k-th cosine to 0.5; in block 1, rows 700 and 701 score 1.0
+        e = np.eye(self.D, dtype=np.float32)
+        emb = np.tile(-e[1], (2 * self.BLOCK, 1))
+        emb[: self.BLOCK : 2] = 0.5 * e[0] + np.sqrt(np.float32(0.75)) * e[2]
+        emb[700] = emb[701] = e[0]
+        q_t = np.ascontiguousarray(np.tile(e[0], (self.M, 1)).T)
+        bounds = np.full(len(emb), -1.0, dtype=np.float32)
+        bounds[700] = 0.375  # the k-th cosine less the margin: kept
+        bounds[701] = np.nextafter(np.float32(0.375), np.float32(-1))  # just below: dropped, though it scores 1.0
+        rows, cosines = self.scan(emb, q_t, 3, self.screen_of(bounds))
+        np.testing.assert_array_equal(rows, np.tile([700, 0, 2], (self.M, 1)))
+        np.testing.assert_array_equal(cosines[0], [1.0, 0.5, 0.5])
+        bounds[701] = 0.375
+        rows, _ = self.scan(emb, q_t, 3, self.screen_of(bounds))
+        np.testing.assert_array_equal(rows, np.tile([700, 701, 0], (self.M, 1)))
+
+    def test_one_surviving_row_is_scored_in_a_padded_subset(self, counting):
+        index, queries = self.low_rank()
+        emb, q_t, k = index.embeddings.copy(), np.ascontiguousarray(queries.T), 5
+        lone = 3 * self.BLOCK + 400  # past the padding of its block
+        emb[lone] = queries[0] / np.linalg.norm(queries[0])  # query 0's best row
+        bounds = np.full(self.N, -2.0, dtype=np.float32)
+        bounds[lone] = 2.0  # the only row after block 0 that the bound keeps
+        rows, cosines = self.scan(emb, q_t, k, self.screen_of(bounds))
+        pad = inference.SMALL_GEMM_MACS // (self.M * self.D) + 1
+        starts = range(self.BLOCK, self.N, self.BLOCK)
+        assert counting.scored(self.D) == [self.BLOCK] + [pad + (lo == 3 * self.BLOCK) for lo in starts]
+        allowed = np.zeros(self.N, dtype=bool)
+        allowed[: self.BLOCK] = allowed[lone] = True
+        for lo in starts:
+            allowed[lo : lo + pad] = True
+        scores = tile_scores(emb, q_t, self.BLOCK)
+        assert rows[0, 0] == lone
+        np.testing.assert_array_equal(rows, float32_top_k(scores, k, allowed))
+        assert same_bits([cosines], [np.take_along_axis(scores.T, rows, 1)])  # bitwise the whole tile's
