@@ -12,16 +12,18 @@ so ties at the k-th cosine go to the lower row id.
 The scan works in two stages. A thread's first block is scored in full, one
 float32 GEMM against all queries, which sets each query's k-th cosine. Every
 later block is screened first: a projection of the rows onto their top
-eigenvectors (CosineBound, derived from the embeddings by the first search
-that needs it, never saved) gives, by one small GEMM and Cauchy-Schwarz, an
-upper bound on each row's cosine with each query. A row whose bound plus a float32 error margin stays
-below every query's current k-th cosine cannot enter any top k, so it is
-dropped; the survivors are scored by the same float32 GEMM, whose scores for
-a subset of rows are bitwise those of the whole block. The result is the
-exact top k of the float32 scores, bit for bit the one-stage scan's. An index
-whose rows the bound cannot summarize (a median residual above
-BOUND_MAX_RESIDUAL, as for random rows) keeps no bound and is scored in full,
-and a thread whose bound keeps most of a block scores the rest whole.
+eigenvectors (CosineBound, derived from the embeddings, never saved:
+load_index derives it, and an index built in memory derives it on its first
+search that screens) gives, by one small GEMM and Cauchy-Schwarz, an upper
+bound on each row's cosine with each query. A row whose bound plus a float32
+error margin stays below every query's current k-th cosine cannot enter any
+top k, so it is dropped; the survivors are scored by the same float32
+GEMM, whose scores for a subset of at least 2 rows and past OpenBLAS's
+small-matrix threshold are bitwise those of the whole block. The result is
+the exact top k of the float32 scores, bit for bit the one-stage scan's. An
+index whose rows the bound cannot summarize (a median residual above
+BOUND_MAX_RESIDUAL, as for random rows) keeps no bound and is scored in
+full, and a thread whose bound keeps most of a block scores the rest whole.
 
 Selection costs little beside the GEMM. A thread's first block is
 transposed to query-major order in strips of TRANSPOSE_STRIP_ROWS rows (one
@@ -37,6 +39,7 @@ zero cosines are a tie like any other and the lower row id wins it.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -58,12 +61,13 @@ SEARCH_BLOCK_BYTES = 4 << 20
 TRANSPOSE_STRIP_ROWS = 256
 FLOAT32_UNIT_ROUNDOFF = 2.0**-24
 BOUND_RANK = 64  # eigenvectors whose coordinates the cosine bound keeps (at most d_embed)
-BOUND_BANDS = 4  # then bands of the next eigenvectors, each kept as one norm
-BOUND_BAND_WIDTH = 16
-BOUND_SAMPLE_STEP = 8  # the eigenvectors are those of the Gram matrix of every 8th index row
+BOUND_SAMPLE_STEP = 16  # the eigenvectors are those of the Gram matrix of every 16th index row
 # A bound whose median sampled row has a residual norm above this prunes next to nothing, so none is kept.
 BOUND_MAX_RESIDUAL = 0.5
-BOUND_BLOCK_ROWS = 1024  # rows per float64 block while the bound's table is computed
+# The bound's table holds int16 multiples of 1 / BOUND_SCALE: half the bytes of float32, and every entry of a row of
+# norm <= 1 + UNIT_NORM_TOL stays below 32,767.
+BOUND_SCALE = 32_000.0
+BOUND_BLOCK_ROWS = 8192  # rows per block while the table is derived: its float32 scratch stays small
 # OpenBLAS computes a product of at most 100**3 multiply-adds in its small-matrix kernels and a one-column
 # product by gemv, which order their sums differently: a rescored subset of a block must be larger.
 SMALL_GEMM_MACS = 100**3
@@ -94,94 +98,92 @@ def _up_f32(x: np.ndarray) -> np.ndarray:
 class CosineBound:
     """An upper bound on the scan's float32 score of every (index row, query) pair, from a projection of the rows.
 
-    V (`basis`, orthonormal float64 columns) holds the top eigenvectors of the
-    Gram matrix of every BOUND_SAMPLE_STEP-th row; any orthonormal V gives a
-    valid bound, and a sample only loosens it. Its first r = BOUND_RANK
-    columns are kept as coordinates, the next ones in BOUND_BANDS bands of
-    BOUND_BAND_WIDTH, and the rest of the space as one remainder. For a row
-    e and a query q, with p = V_r^T e, e_j = V_j^T e for band j and e_rest
-    the remainder (likewise for q), Cauchy-Schwarz gives
+    P (`basis`, orthonormal float64 columns) holds the top r = BOUND_RANK
+    eigenvectors of the Gram matrix of every BOUND_SAMPLE_STEP-th row; any
+    orthonormal P gives a valid bound, and a sample only loosens it. For a
+    row e and a query q, with p = P^T e and e_perp = e - P p (likewise q),
+    Cauchy-Schwarz gives
 
-        <e, q> = <p, V_r^T q> + sum_j <e_j, q_j> + <e_rest, q_rest>
-              <= <p, V_r^T q> + sum_j |e_j| |q_j| + |e_rest| |q_rest|.
+        <e, q> = <p, P^T q> + <e_perp, q_perp> <= <p, P^T q> + |e_perp| |q_perp|.
 
-    The bands help because the rows' energy beyond the first r directions
-    sits mostly in the next few, while a query's may not: per band the
-    product of norms is small even where |e_perp| |q_perp| is not.
-
-    Row i of `table` holds a = p rounded to float32, then the band norms and
-    |e_rest| (from |e|^2 less the projected squares), computed in float64
-    and rounded up. `query_side` makes the same columns (b, ...) for each
-    query, and one float32 GEMM over them gives the bound of every pair. A
-    pair is dropped only when that bound is below the query's k-th cosine
-    less its margin, `slack` |q|. The margin covers every float32 error
-    between the bound and the scan's score (u = 2^-24, gamma_n =
-    n u / (1 - n u), each relative to |e| |q|, K the table's width):
+    Row i of `table` holds a = e P32 by a float32 GEMM (P32 is P rounded to
+    float32; deriving it in float64 would take ~2.5x as long), rounded to
+    the nearest multiple of 1 / S (S = BOUND_SCALE, stored as int16 counts
+    of 1 / S), then rho >= |e_perp| rounded up to one. `query_side` makes
+    the matching columns (b = P^T q, then sigma >= |q_perp|, in float64,
+    divided by S and rounded to float32) for each query, and one float32
+    GEMM over the r + 1 columns (the table's block cast to float32, which is
+    exact) gives the bound of every pair. A pair is dropped only when that
+    bound is below the query's k-th cosine less its margin, `slack` |q|. The
+    margin covers every error between the bound and the scan's score
+    (u = 2^-24, gamma_n = n u / (1 - n u), each relative to |e| |q|):
 
     - the scan's score, a float32 sum of d products, is within gamma_d of <e, q>;
-    - a and b are float64 products rounded to float32, so <a, b> is within
-      2 u of <p, V_r^T q> (the norms already round up);
-    - the bound's GEMM is within gamma_K times the norms of a table row and
-      a query column, which exceed |e| and |q| by far less than a factor 2
-      (2 gamma_K);
+    - each entry a_i is a d-term float32 sum with P rounded to float32, so
+      within gamma_{d+2} (|P|^T |e|)_i of p_i, and |a - p| <= delta |e| with
+      delta = gamma_{d+2} || |P| ||_2 (at most sqrt(r) gamma_{d+2}):
+      <a, P^T q> is within delta of <p, P^T q>. The rows' norms are at most
+      c = 1 + UNIT_NORM_TOL (RetrievalIndex checks them), and rho is the
+      float64 root of c^2 - (|a| - delta c)^2, at least |e|^2 - |p|^2 =
+      |e_perp|^2, rounded up (|a|^2 is a float32 sum, so divided by
+      1 + gamma_r);
+    - each stored coordinate is a * S in float32, rounded to an integer,
+      so within 0.51 / S of a's (|a| S < 2^15 and u 2^15 < 0.01), and the
+      stored vector is within sqrt(r) 0.51 / S |e| of a (|e| >= 1 -
+      UNIT_NORM_TOL);
+    - b / S is rounded to float32, so the bound moves by at most u;
+    - the bound's GEMM is within gamma_{r+1} times the norms of a table row
+      and a query column, which exceed |e| and |q| by far less than a
+      factor 2 (2 gamma_{r+1});
     - the threshold, k-th cosine less margin, is rounded to float32 (u);
     - float64 errors (~1e-14) sit inside the 2^-40 |x|^2 added to each
-      squared remainder, and a spare u.
+      squared residual, and spare u's.
 
     So a dropped pair scores below the k-th cosine: no false dismissals
     (the lower-bounding lemma of GEMINI, Faloutsos et al., SIGMOD 1994).
     """
 
-    basis: np.ndarray  # [d, rank + band columns] float64
-    rank: int  # the leading columns of `basis`, kept as coordinates
-    table: np.ndarray  # [N_ref, K] float32: a, band norms, remainder norm
+    basis: np.ndarray  # [d, r] float64
+    table: np.ndarray  # [N_ref, r + 1] int16: a * S, then rho * S
     slack: float  # the margin per unit of |q|, for the longest row
 
     @classmethod
     def of(cls, embeddings: np.ndarray) -> CosineBound | None:
-        """The bound of float32 rows; None when the median sampled row has more than BOUND_MAX_RESIDUAL outside its top
-        BOUND_RANK directions."""
+        """The bound of float32 rows of norm at most 1 + UNIT_NORM_TOL; None when the median sampled row has a residual
+        norm above BOUND_MAX_RESIDUAL outside its top BOUND_RANK directions."""
         d = embeddings.shape[1]
         rank = min(BOUND_RANK, d)
         sample = embeddings[::BOUND_SAMPLE_STEP]
         _, vectors = np.linalg.eigh((sample.T @ sample).astype(np.float64))  # ascending eigenvalues
-        basis = np.ascontiguousarray(vectors[:, ::-1][:, : min(d, rank + BOUND_BANDS * BOUND_BAND_WIDTH)])
-        sampled = sample @ basis[:, :rank].astype(np.float32)
-        residual = np.einsum("ij,ij->i", sample, sample) - np.einsum("ij,ij->i", sampled, sampled)
-        if not np.median(residual) <= BOUND_MAX_RESIDUAL**2:  # the bound would prune almost nothing
-            return None
-        table = np.empty((len(embeddings), rank + len(range(rank, basis.shape[1], BOUND_BAND_WIDTH)) + 1),
-                         dtype=np.float32)
-        max_sq_norm = 0.0
-        for lo in range(0, len(embeddings), BOUND_BLOCK_ROWS):  # float64, a block of rows at a time
-            rows = slice(lo, lo + BOUND_BLOCK_ROWS)
-            table[rows], sq_norms = _bound_columns(embeddings[rows], basis, rank)
-            max_sq_norm = max(max_sq_norm, sq_norms.max())
-        terms = _gamma(d) + 2.0 * _gamma(table.shape[1]) + 4.0 * FLOAT32_UNIT_ROUNDOFF  # see the class docstring
-        return cls(basis, rank, table, terms * float(np.sqrt(max_sq_norm)))
+        basis = np.ascontiguousarray(vectors[:, ::-1][:, :rank])
+        basis_f32 = basis.astype(np.float32)
+        sampled = sample @ basis_f32
+        if not np.median(1.0 - np.einsum("ij,ij->i", sampled, sampled)) <= BOUND_MAX_RESIDUAL**2:
+            return None  # the bound would prune almost nothing
+        table = _mapped_array((len(embeddings), rank + 1), np.int16)
+        max_norm = 1.0 + UNIT_NORM_TOL
+        delta = _gamma(d + 2) * np.linalg.norm(np.abs(basis), 2) * (1.0 + 1e-12)  # |a - p| <= delta |e|
+        for lo in range(0, len(embeddings), BOUND_BLOCK_ROWS):
+            projected = embeddings[lo : lo + BOUND_BLOCK_ROWS] @ basis_f32
+            sq_projected = np.einsum("ij,ij->i", projected, projected).astype(np.float64)  # within gamma_r of |a|^2
+            low = np.maximum(np.sqrt(sq_projected / (1.0 + _gamma(rank))) - delta * max_norm, 0.0)
+            rho = np.sqrt(max_norm**2 * (1.0 + 2.0**-40) - low**2) * (1.0 + 2.0**-40)
+            table[lo : lo + BOUND_BLOCK_ROWS, :rank] = np.rint(np.multiply(projected, BOUND_SCALE, out=projected))
+            table[lo : lo + BOUND_BLOCK_ROWS, rank] = np.ceil(rho * BOUND_SCALE)
+        delta += np.sqrt(rank) * 0.51 / (BOUND_SCALE * (1.0 - UNIT_NORM_TOL))  # the stored coordinates' rounding
+        terms = _gamma(d) + delta + 2.0 * _gamma(rank + 1) + 4.0 * FLOAT32_UNIT_ROUNDOFF  # see the class docstring
+        return cls(basis, table, terms * max_norm)
 
     def query_side(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """[K, m] float32 bound columns of the queries, and each query's margin, slack * |q|."""
-        columns, sq_norms = _bound_columns(queries, self.basis, self.rank)
-        return np.ascontiguousarray(columns.T), self.slack * np.sqrt(sq_norms)
-
-
-def _bound_columns(x: np.ndarray, basis: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """[len(x), K] float32 bound columns of the rows `x` (coordinates, band norms, remainder norm), and |x|^2.
-
-    Computed in float64; norms round up, and 2^-40 |x|^2 covers the float64 error of the remainder.
-    """
-    x = x.astype(np.float64)
-    sq_norms = np.einsum("ij,ij->i", x, x)
-    projected = x @ basis
-    band_starts = np.arange(rank, basis.shape[1], BOUND_BAND_WIDTH)
-    columns = np.empty((len(x), rank + len(band_starts) + 1), dtype=np.float32)
-    columns[:, :rank] = projected[:, :rank]
-    if len(band_starts):
-        columns[:, rank:-1] = _up_f32(np.sqrt(np.add.reduceat(projected**2, band_starts, axis=1)))
-    rest = np.maximum(sq_norms - np.einsum("ij,ij->i", projected, projected), 0.0) + 2.0**-40 * sq_norms
-    columns[:, -1] = _up_f32(np.sqrt(rest))
-    return columns, sq_norms
+        """[r + 1, m] float32 bound columns of the queries ((P^T q, then sigma) / S), and their margins, slack * |q|."""
+        q = queries.astype(np.float64)
+        projected = q @ self.basis
+        sq_norms = np.einsum("ij,ij->i", q, q)
+        residual = np.maximum(sq_norms - np.einsum("ij,ij->i", projected, projected), 0.0) + 2.0**-40 * sq_norms
+        columns = np.empty((self.basis.shape[1] + 1, len(q)), dtype=np.float32)
+        columns[:-1] = projected.T / BOUND_SCALE
+        columns[-1] = _up_f32(np.sqrt(residual) / BOUND_SCALE)
+        return columns, self.slack * np.sqrt(sq_norms)
 
 
 @dataclass
@@ -206,11 +208,22 @@ class RetrievalIndex:
 
     @cached_property
     def bound(self) -> CosineBound | None:
-        """The rows' cosine bound, derived once, by the first search that screens; None where it would prune little.
+        """The rows' cosine bound, None where it would prune little: derived once, by load_index or else by the
+        first search that screens.
 
-        Rows written in place after that search would not be seen: an index's rows are fixed once it is built.
+        Rows written in place after that would not be seen: an index's rows are fixed once it is made.
         """
         return CosineBound.of(self.embeddings)
+
+
+def _mapped_array(shape: tuple[int, int], dtype) -> np.ndarray:
+    """A zeroed array in an anonymous memory mapping of its own, unmapped when the array is freed.
+
+    A malloc'ed block of several MB, once freed, raises glibc's mmap threshold, and the next index's table then comes
+    from the heap, which keeps its pages: a table so allocated read ~25 MB more peak RSS in `query_100k`'s repeated
+    set-ups.
+    """
+    return np.ndarray(shape, dtype=dtype, buffer=mmap.mmap(-1, shape[0] * shape[1] * np.dtype(dtype).itemsize))
 
 
 def _embed_batches(spot_num: int, checkpoint: Checkpoint, embed) -> np.ndarray:
@@ -317,32 +330,34 @@ def _scan_blocks(emb: np.ndarray, q_t: np.ndarray, k: int, block: int, claim,
     row fills hold row id len(emb) and -inf.
 
     With a `screen` (a CosineBound's table, its query side and the queries'
-    margins), a later block is first bounded by one [rows, K] x [K, m] GEMM,
-    and only its rows whose bound plus margin reaches some query's k-th
-    cosine are scored, by the same GEMM on that subset of rows, gathered into
-    a reused buffer: a dropped row scores below every k-th cosine, so it
-    could not have been a candidate. The subset is padded with the block's
-    first rows to more than SMALL_GEMM_MACS multiply-adds, where its scores
-    are bitwise the whole tile's (the caller screens no single query: a
-    one-column product is a gemv). A block too small for that is scored
-    whole, and once the bound keeps more than 3/4 of a block's rows the
-    thread scores the rest whole. (It keeps fewer as the k-th cosines rise:
-    a first screened block that keeps half its rows is worth screening on.)
+    margins), a later block is first bounded by one [rows, K] x [K, m] GEMM
+    over its table rows, cast to float32 in a reused buffer, and only its rows
+    whose bound plus margin reaches some query's k-th cosine are scored, by
+    the same GEMM on that subset of rows: a dropped row scores below every
+    k-th cosine, so it could not have been a candidate. The subset is padded
+    with the block's first rows to at least 2 rows and more than
+    SMALL_GEMM_MACS multiply-adds, where its scores are bitwise the whole
+    tile's (a one-row or one-column product is a gemv, so the caller screens
+    no single query). A block too small for that is scored whole, and once the
+    bound keeps more than 3/4 of a block's rows the thread scores the rest
+    whole. (It keeps fewer as the k-th cosines rise: a first screened block
+    that keeps half its rows is worth screening on.)
     """
     (n, d), m = emb.shape, q_t.shape[1]
     rows = np.full((m, k), n, dtype=np.int64)
     cosines = np.full((m, k), -np.inf, dtype=emb.dtype)
     tile = np.empty((min(block, n), m), dtype=emb.dtype)  # reused: a fresh tile per block page-faults
     mask = np.empty(tile.shape, dtype=bool)
-    min_subset = SMALL_GEMM_MACS // (m * d) + 1
-    kept_rows = np.empty((len(tile) * 3 // 4, d), dtype=emb.dtype) if screen is not None else None  # reused
+    min_subset = max(2, SMALL_GEMM_MACS // (m * d) + 1)
+    coords = None if screen is None else np.empty((len(tile), screen[0].shape[1]), dtype=emb.dtype)  # reused
     first = True
     while (lo := claim()) is not None:
         chunk = emb[lo : lo + block]
         kept = None  # the block's rows that are scored, when not all of them
         if screen is not None and not first and len(chunk) > min_subset:
             table, u_t, margins = screen
-            bounds = np.matmul(table[lo : lo + block], u_t, out=tile[: len(chunk)])
+            np.copyto(coords[: len(chunk)], table[lo : lo + block])  # int16 to float32 is exact
+            bounds = np.matmul(coords[: len(chunk)], u_t, out=tile[: len(chunk)])
             floor = (cosines[:, -1] - margins).astype(emb.dtype)
             live = np.greater_equal(bounds, floor, out=mask[: len(chunk)]).any(axis=1)
             live[:min_subset] = True
@@ -350,7 +365,7 @@ def _scan_blocks(emb: np.ndarray, q_t: np.ndarray, k: int, block: int, claim,
                 screen = None  # the bound keeps most rows: this thread scores its remaining blocks whole
             else:
                 kept = np.flatnonzero(live)
-                chunk = np.take(chunk, kept, axis=0, out=kept_rows[: len(kept)], mode="clip")  # "raise" adds a copy
+                chunk = chunk[kept]
         scores = np.matmul(chunk, q_t, out=tile[: len(chunk)])  # [rows, m]
         top_k_in_block = first and len(scores) >= k
         if top_k_in_block:  # every row at or above each query's k-th score
@@ -402,28 +417,30 @@ def search(index: RetrievalIndex, queries: np.ndarray, k: int) -> tuple[np.ndarr
     Returns [m, k] arrays of row ids, cosines and Euclidean distances. The
     index is read in blocks of rows taken in ascending order by one or more
     worker threads; a block's [rows, m] score tile stays within
-    SEARCH_BLOCK_BYTES. A thread takes the next block when it finishes one,
-    so a thread slowed by a busy CPU scans fewer blocks instead of holding up
-    the rest. A thread's first block is scored against all queries by one
-    float32 GEMM, and a partition of the tile (transposed in strips) sets its
-    k-th cosines. Each later block is screened by the index's CosineBound:
-    one [rows, K] x [K, m] GEMM bounds every row's cosine with every query
-    from above, and only the rows whose bound plus margin reaches some
-    query's current k-th cosine are scored, by the same GEMM on that subset.
-    The margin covers the float32 error of both the bound and the score, so
-    no dropped row could have entered the top k (no false dismissals), and a
-    subset of more than SMALL_GEMM_MACS multiply-adds scores bitwise as the
-    whole block does: the rows and cosines are the one-stage scan's, bit for
-    bit. With one query, an index within one block per thread, or an index
-    without a bound, every block is scored whole. Candidates are ranked by
-    one int64 key per entry (query, then the cosine's monotone bit pattern,
-    with -0.0 equal to +0.0) in a stable sort that keeps the lower row id
-    first among equal cosines. The threads' lists are merged by (-cosine,
-    row id), so ties at the k-th cosine still go to the lower row id and the
-    result is the exact top k of the float32 scores, whichever thread scanned
-    which block. There is one worker per CPU the BLAS leaves free (CPUs
-    divided by OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else by the CPU
-    count itself), at most one per full tile; with one worker the whole
+    SEARCH_BLOCK_BYTES. A thread takes the next block when it finishes one, so
+    a thread slowed by a busy CPU scans fewer blocks instead of holding up the
+    rest. A thread's first block is scored against all queries by one float32
+    GEMM, and a partition of the tile (transposed in strips) sets its k-th
+    cosines. Each later block is screened by the index's CosineBound: one
+    [rows, K] x [K, m] GEMM bounds every row's cosine with every query from
+    above, and only the rows whose bound plus margin reaches some query's
+    current k-th cosine are scored, by the same GEMM on that subset. The
+    margin covers the rounding error of both the bound and the score, so no
+    dropped row could have entered the top k (no false dismissals), and a
+    subset of at least 2 rows and more than SMALL_GEMM_MACS multiply-adds
+    scores bitwise as the whole block does: the rows and cosines are the
+    one-stage scan's, bit for bit. With one query, an index within one block
+    per thread, or an index without a bound, every block is scored whole. A
+    loaded index has its bound already; an index built in memory derives it on
+    its first search that screens (~80 ms at 102,400 x 256). Candidates are
+    ranked by one int64 key per entry (query, then the cosine's monotone bit
+    pattern, with -0.0 equal to +0.0) in a stable sort that keeps the lower
+    row id first among equal cosines. The threads' lists are merged by
+    (-cosine, row id), so ties at the k-th cosine still go to the lower row id
+    and the result is the exact top k of the float32 scores, whichever thread
+    scanned which block. There is one worker per CPU the BLAS leaves free
+    (CPUs divided by OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else by the
+    CPU count itself), at most one per full tile; with one worker the whole
     index is scanned inline and no thread starts. For unit vectors
     d^2 = 2 - 2 cos within float tolerance. Embeddings of any float type are
     held as float32 (RetrievalIndex casts them).
@@ -519,11 +536,13 @@ def load_index(directory: str | Path) -> RetrievalIndex:
     n, d, g = meta["rows"], meta["d_embed"], meta["hvg_num"]
     if len(meta["entries"]) != n:
         raise ValueError(f"{directory / 'provenance.json'} lists {len(meta['entries'])} entries for {n} rows")
-    return RetrievalIndex(
+    index = RetrievalIndex(
         embeddings=read_blob(directory / "embeddings.f32", "<f4", (n, d)),
         expressions=read_blob(directory / "expressions.f32", "<f4", (n, g)),
         provenance=_provenance(meta["entries"], directory / "provenance.json"),
     )
+    index.bound  # derived while loading, so no search of a loaded index pays for it
+    return index
 
 
 def _provenance(entries: list, path: Path) -> list[tuple[str, int]]:

@@ -697,9 +697,9 @@ class CountingNumpy:
         self.matmuls.append((a.shape, b.shape))
         return np.matmul(a, b, out=out)
 
-    def scored(self, d):
-        """Rows of each scoring GEMM (against d-dimensional queries), in call order."""
-        return [a[0] for a, b in self.matmuls if b[0] == d]
+    def scored(self, d, m):
+        """Rows of each scoring GEMM (against m d-dimensional queries), in call order."""
+        return [a[0] for a, b in self.matmuls if b == (d, m)]
 
 
 def tile_scores(emb, q_t, block):
@@ -755,7 +755,7 @@ class TestTwoStageScan:
     def test_bound_prunes_most_rows(self, counting):
         index, queries = self.low_rank()
         got = search(index, queries, 10)
-        scored = counting.scored(self.D)
+        scored = counting.scored(self.D, self.M)
         assert scored[0] == self.BLOCK and sum(scored) < self.N // 2  # the first block, then padded subsets
         assert same_bits(got, one_stage(index, queries, 10))
 
@@ -764,8 +764,28 @@ class TestTwoStageScan:
         queries = unit_rows(self.M, self.D, 34)
         rows, _, _ = search(index, queries, 10)
         assert index.bound is None
-        assert counting.scored(self.D) == [self.BLOCK] * (self.N // self.BLOCK)
+        assert counting.scored(self.D, self.M) == [self.BLOCK] * (self.N // self.BLOCK)
         np.testing.assert_array_equal(rows, brute_force(index, queries, 10))
+
+    def test_load_index_derives_the_bound(self, tmp_path):
+        index, _ = self.low_rank()
+        save_index(index, tmp_path / "idx")
+        assert "bound" not in vars(index)  # a built index derives it by its first search that screens
+        loaded = load_index(tmp_path / "idx")
+        assert "bound" in vars(loaded) and loaded.bound is not None
+        assert same_bits([loaded.bound.table], [index.bound.table])
+
+    def test_longest_rows_fit_the_int16_table(self):
+        # rows along the basis at the longest norm the index accepts: the largest stored coordinate
+        longest = 1 + 0.9 * inference.UNIT_NORM_TOL
+        rows = np.repeat(np.eye(self.D, dtype=np.float32)[:8], self.N // 8, axis=0) * np.float32(longest)
+        rows[1::2] *= -1
+        index = RetrievalIndex(embeddings=rows, expressions=np.zeros((self.N, 1), dtype=np.float32),
+                               provenance=[("r", i) for i in range(self.N)])
+        assert np.abs(index.bound.table[:, :8]).max() == round(inference.BOUND_SCALE * longest)
+        assert index.bound.table.max() < np.iinfo(np.int16).max
+        queries = rows[:: self.N // self.M] + np.float32(0.01)
+        np.testing.assert_array_equal(search(index, queries, 10)[0], brute_force(index, queries, 10))
 
     def test_every_score_within_its_bound_plus_margin(self):
         # rows and queries inside the basis' span: the bound is tight, so only the margin covers rounding
@@ -782,35 +802,15 @@ class TestTwoStageScan:
         assert np.max(scores - bounds) > 0  # without the margin some float32 score exceeds its bound
         assert np.all(scores <= bounds + margins)
 
-    def test_bands_tighten_the_bound_and_keep_it_valid(self, monkeypatch):
-        # the rows' energy beyond the top 8 directions sits in the next 8; the queries' is spread over all 56
-        rng = np.random.default_rng(36)
-        axes = np.linalg.qr(rng.standard_normal((self.D, 16)))[0]
-        emb = rng.standard_normal((self.N, 16)) * np.r_[np.full(8, 1.0), np.full(8, 0.3)] @ axes.T
-        emb = (emb / np.linalg.norm(emb, axis=1, keepdims=True)).astype(np.float32)
-        queries = emb[rng.integers(0, self.N, self.M)] + 0.1 * rng.standard_normal((self.M, self.D)).astype(np.float32)
-        scores = tile_scores(emb, np.ascontiguousarray(queries.T), self.BLOCK).astype(np.float64)
-
-        def bounds(bands):
-            monkeypatch.setattr(inference, "BOUND_BANDS", bands)
-            bound = inference.CosineBound.of(emb)
-            assert bound.table.shape[1] == 8 + bands + 1
-            side, margins = bound.query_side(queries)
-            got = np.matmul(bound.table, side).astype(np.float64)
-            assert np.all(scores <= got + margins)
-            return got
-
-        banded, plain = bounds(4), bounds(0)
-        assert np.all(banded <= plain + 1e-6)  # per band, Cauchy-Schwarz is never looser than over their union
-        assert np.mean(plain - banded) > 0.25 * np.mean(plain - scores)
-
-    def screen_of(self, bounds):
-        """A screen whose bound of row i is bounds[i] against every query, exactly, with margin 1/8."""
+    @staticmethod
+    def screen_of(bounds, m):
+        """A screen whose bound of row i is bounds[i] against each of m queries, exactly, with margin 1/8."""
         table = np.asarray(bounds, dtype=np.float32)[:, None]
-        return table, np.ones((1, self.M), dtype=np.float32), np.full(self.M, 0.125)
+        return table, np.ones((1, m), dtype=np.float32), np.full(m, 0.125)
 
-    def scan(self, emb, q_t, k, screen):
-        return inference._scan_blocks(emb, q_t, k, self.BLOCK, inference._block_claims(len(emb), self.BLOCK), screen)
+    def scan(self, emb, q_t, k, bounds, block=BLOCK):
+        claim = inference._block_claims(len(emb), block)
+        return inference._scan_blocks(emb, q_t, k, block, claim, self.screen_of(bounds, q_t.shape[1]))
 
     def test_row_just_inside_the_margin_is_scored_and_just_outside_dropped(self):
         # block 0 sets every query's k-th cosine to 0.5; in block 1, rows 700 and 701 score 1.0
@@ -822,29 +822,42 @@ class TestTwoStageScan:
         bounds = np.full(len(emb), -1.0, dtype=np.float32)
         bounds[700] = 0.375  # the k-th cosine less the margin: kept
         bounds[701] = np.nextafter(np.float32(0.375), np.float32(-1))  # just below: dropped, though it scores 1.0
-        rows, cosines = self.scan(emb, q_t, 3, self.screen_of(bounds))
+        rows, cosines = self.scan(emb, q_t, 3, bounds)
         np.testing.assert_array_equal(rows, np.tile([700, 0, 2], (self.M, 1)))
         np.testing.assert_array_equal(cosines[0], [1.0, 0.5, 0.5])
         bounds[701] = 0.375
-        rows, _ = self.scan(emb, q_t, 3, self.screen_of(bounds))
+        rows, _ = self.scan(emb, q_t, 3, bounds)
         np.testing.assert_array_equal(rows, np.tile([700, 701, 0], (self.M, 1)))
 
-    def test_one_surviving_row_is_scored_in_a_padded_subset(self, counting):
-        index, queries = self.low_rank()
-        emb, q_t, k = index.embeddings.copy(), np.ascontiguousarray(queries.T), 5
-        lone = 3 * self.BLOCK + 400  # past the padding of its block
+    def check_lone_row(self, counting, emb, queries, block):
+        """After the first block the bound keeps one row: it is scored in a subset padded with its block's first
+        rows, bitwise as the whole tile scores it. Returns the padded subset's size."""
+        (n, d), m, k = emb.shape, len(queries), 5
+        q_t = np.ascontiguousarray(queries.T)
+        lone = 3 * block + block * 3 // 4  # past the padding of its block
         emb[lone] = queries[0] / np.linalg.norm(queries[0])  # query 0's best row
-        bounds = np.full(self.N, -2.0, dtype=np.float32)
+        bounds = np.full(n, -2.0, dtype=np.float32)
         bounds[lone] = 2.0  # the only row after block 0 that the bound keeps
-        rows, cosines = self.scan(emb, q_t, k, self.screen_of(bounds))
-        pad = inference.SMALL_GEMM_MACS // (self.M * self.D) + 1
-        starts = range(self.BLOCK, self.N, self.BLOCK)
-        assert counting.scored(self.D) == [self.BLOCK] + [pad + (lo == 3 * self.BLOCK) for lo in starts]
-        allowed = np.zeros(self.N, dtype=bool)
-        allowed[: self.BLOCK] = allowed[lone] = True
+        rows, cosines = self.scan(emb, q_t, k, bounds, block)
+        pad = max(2, inference.SMALL_GEMM_MACS // (m * d) + 1)
+        starts = range(block, n, block)
+        assert counting.scored(d, m) == [block] + [pad + (lo == 3 * block) for lo in starts]
+        allowed = np.zeros(n, dtype=bool)
+        allowed[:block] = allowed[lone] = True
         for lo in starts:
             allowed[lo : lo + pad] = True
-        scores = tile_scores(emb, q_t, self.BLOCK)
+        scores = tile_scores(emb, q_t, block)
         assert rows[0, 0] == lone
         np.testing.assert_array_equal(rows, float32_top_k(scores, k, allowed))
         assert same_bits([cosines], [np.take_along_axis(scores.T, rows, 1)])  # bitwise the whole tile's
+        return pad
+
+    def test_one_surviving_row_is_scored_in_a_padded_subset(self, counting):
+        index, queries = self.low_rank()
+        assert self.check_lone_row(counting, index.embeddings.copy(), queries, self.BLOCK) == 123
+
+    def test_many_queries_still_score_two_rows_at_least(self, counting):
+        # 16,000 queries of 64 dims pass OpenBLAS's small-matrix threshold with a single row, whose product
+        # would be a gemv: the subset keeps a second row
+        emb = low_rank_rows(1024, self.D, rank=6, noise=0.02, seed=37)
+        assert self.check_lone_row(counting, emb, unit_rows(16_000, self.D, 38), 128) == 2
