@@ -277,10 +277,8 @@ def cmd_train(args, config) -> int:
     checkpoint = fit(dataset, train_cfg, enc_cfg)
     with atomic_out_dir(args.out, config) as staging:
         save_checkpoint(checkpoint, staging)
-        curve = ["epoch\tmean_loss"] + [
-            f"{i}\t{loss:.6f}" for i, loss in enumerate(checkpoint.history)
-        ]
-        (staging / "loss_curve.tsv").write_text("\n".join(curve) + "\n")
+        ev.write_tsv(staging / "loss_curve.tsv", ("epoch", "mean_loss"),
+                     [(i, f"{loss:.6f}") for i, loss in enumerate(checkpoint.history)])
     print(f"trained {checkpoint.train_config.epochs} epochs, final loss "
           f"{checkpoint.history[-1]:.6f}; checkpoint at {args.out}")
     return 0
@@ -352,7 +350,7 @@ def cmd_eval(args, config) -> int:
     summary = {"slide_id": slide.slide_id, "pcc_acg": record.pcc_acg, "pcc_heg": record.pcc_heg,
                "mse": record.mse, "mae": record.mae}
     with atomic_out_dir(args.out, config) as staging:
-        ev.write_metrics_tsv([record], staging / "metrics.tsv")
+        ev.write_metrics_tsv(staging / "metrics.tsv", "slide_id", [(record.slide_id, record)])
         ev.write_per_gene_tsv(record, staging / "per_gene.tsv")
         if slide.labels is not None:
             clusters = int(np.unique(slide.labels).size) if e["clusters"] is None else e["clusters"]
@@ -372,7 +370,7 @@ def cmd_loocv(args, config) -> int:
     records = ev.loocv(slides, hvg_num=config["data"]["hvg_num"], train_cfg=train_cfg,
                        enc_cfg=_encoder_config(config, slides), ks=(k,))[k]
     with atomic_out_dir(args.out, config) as staging:
-        ev.write_metrics_tsv(records, staging / "metrics.tsv")
+        ev.write_metrics_tsv(staging / "metrics.tsv", "slide_id", [(r.slide_id, r) for r in records])
         for record in records[:-1]:
             ev.write_per_gene_tsv(record, staging / f"per_gene_{record.slide_id}.tsv")
     mean = records[-1]
@@ -417,10 +415,7 @@ def cmd_ablate(args, config) -> int:
     rows = [(name, records[k][-1]) for name, records in results.items()]
     rows += [(f"k={k_value}", results["full"][k_value][-1]) for k_value in k_values]
     with atomic_out_dir(args.out, config) as staging:
-        lines = ["variant\tpcc_acg\tpcc_heg\tmse\tmae"]
-        for name, m in rows:
-            lines.append(f"{name}\t{m.pcc_acg:.6f}\t{m.pcc_heg:.6f}\t{m.mse:.6f}\t{m.mae:.6f}")
-        (staging / "ablation.tsv").write_text("\n".join(lines) + "\n")
+        ev.write_metrics_tsv(staging / "ablation.tsv", "variant", rows)
     for name, m in rows:
         print(f"{name}: pcc_acg={m.pcc_acg:.4f}")
     return 0

@@ -16,7 +16,7 @@ differs from its declared shape, unparsable JSON, or JSON without a key its
 reader requires or with one that json_type_ok rejects, naming the file.
 config_from_json applies the same rule to settings and requires each one: a
 dataclass default fills none on read. NaN or Inf in any array and negative
-counts are rejected by Slide.validate, naming the field. Every indented
+counts are rejected when a Slide is made, naming the field. Every indented
 .json artifact is written by write_json, as strict JSON.
 """
 
@@ -62,9 +62,6 @@ class Slide:
     features: np.ndarray | None = None  # [spot_num, feat_dim] float32
     labels: np.ndarray | None = None  # [spot_num] uint16
 
-    def __post_init__(self):
-        self.validate()
-
     @property
     def spot_num(self) -> int:
         return self.expression.shape[0]
@@ -78,7 +75,7 @@ class Slide:
         """The patches, or the precomputed features of a slide without them."""
         return self.patches if self.patches is not None else self.features
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.expression.ndim != 2 or self.expression.shape[0] < 1:
             raise DataFormatError(f"{self.slide_id}: expression must be [spot_num >= 1, gene_num]")
         n = self.spot_num
@@ -396,14 +393,9 @@ def batch_sampler(slide: Slide, batch_size: int, seed: int) -> list[np.ndarray]:
 
     Spot indices are shuffled deterministically by seed and partitioned into
     batches of batch_size; a short final batch is dropped. Batches never mix
-    slides by construction.
+    slides by construction. TrainConfig and fit keep batch_size within
+    [2, spot_num].
     """
-    if batch_size < 2:
-        raise ValueError(f"batch_sampler: batch_size must be >= 2, got {batch_size}")
-    if batch_size > slide.spot_num:
-        raise ValueError(
-            f"batch_sampler: batch_size={batch_size} exceeds spot_num={slide.spot_num} of {slide.slide_id}"
-        )
     rng = np.random.default_rng(seed)
     perm = rng.permutation(slide.spot_num)
     n_full = slide.spot_num // batch_size
@@ -432,20 +424,20 @@ class GenConfig:
     coord_max: int = 256
     library_size: int = 4000
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_slides < 1 or self.spots_per_slide < 1:
-            raise DataFormatError("synth_generate: need at least one slide and one spot")
+            raise DataFormatError("GenConfig: need at least one slide and one spot")
         if not 0.0 <= self.signal <= 1.0:
-            raise DataFormatError(f"synth_generate: signal={self.signal} outside [0, 1]")
+            raise DataFormatError(f"GenConfig: signal={self.signal} outside [0, 1]")
         if self.gene_num < 1 or self.n_domains < 1:
-            raise DataFormatError("synth_generate: gene_num and n_domains must be positive")
+            raise DataFormatError("GenConfig: gene_num and n_domains must be positive")
         c, h, w = self.patch_shape
         if c < 1 or h < 4 or w < 4:
-            raise DataFormatError(f"synth_generate: patch shape {self.patch_shape} too small")
+            raise DataFormatError(f"GenConfig: patch shape {self.patch_shape} too small")
         if self.library_size < 1:
-            raise DataFormatError(f"synth_generate: library_size={self.library_size} must be at least 1")
+            raise DataFormatError(f"GenConfig: library_size={self.library_size} must be at least 1")
         if self.spots_per_slide > self.coord_max * self.coord_max:
-            raise DataFormatError("synth_generate: more spots than distinct coordinates")
+            raise DataFormatError("GenConfig: more spots than distinct coordinates")
 
 
 # Planted-signal strength constants, calibrated so that a linear ridge decoder
@@ -489,11 +481,9 @@ def synth_generate(config: GenConfig, seed: int, out_dir: str | Path) -> Path:
     signal=0 they are pure noise. Identical seeds give byte-identical
     output.
     """
-    config.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    root_seq = np.random.SeedSequence(seed)
     rng_programs = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
     d, g = config.n_domains, config.gene_num

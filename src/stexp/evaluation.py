@@ -292,25 +292,22 @@ def detect_domains(pred: np.ndarray, n_clusters: int, n_components: int, seed: i
 # ---------------------------------------------------------------------------
 
 
-def write_metrics_tsv(records: list[MetricsRecord], path: str | Path) -> None:
-    lines = ["slide_id\tpcc_acg\tpcc_heg\tmse\tmae"]
-    for m in records:
-        lines.append(f"{m.slide_id}\t{m.pcc_acg:.6f}\t{m.pcc_heg:.6f}\t{m.mse:.6f}\t{m.mae:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_tsv(path: str | Path, header: tuple[str, ...], rows) -> None:
+    """The header, then one line per row, each cell written by str, tab-separated and newline-terminated."""
+    Path(path).write_text("".join("\t".join(map(str, row)) + "\n" for row in (header, *rows)))
+
+
+def write_metrics_tsv(path: str | Path, key: str, rows: list[tuple[str, MetricsRecord]]) -> None:
+    """One line per (label, record): the label under the column `key`, then the four metrics to 6 decimals."""
+    metrics = ("pcc_acg", "pcc_heg", "mse", "mae")
+    write_tsv(path, (key, *metrics), [(label, *(f"{getattr(m, name):.6f}" for name in metrics)) for label, m in rows])
 
 
 def write_per_gene_tsv(record: MetricsRecord, path: str | Path) -> None:
     """Genes sorted by -log10 p descending (ties keep gene order)."""
-    order = sorted(range(len(record.per_gene)), key=lambda i: (-record.per_gene[i][2], i))
-    lines = ["gene\tr\tneg_log10_p"]
-    for i in order:
-        gene, r, nlp = record.per_gene[i]
-        lines.append(f"{gene}\t{r:.6f}\t{nlp:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    ranked = sorted(record.per_gene, key=lambda gene: -gene[2])  # a stable sort
+    write_tsv(path, ("gene", "r", "neg_log10_p"), [(gene, f"{r:.6f}", f"{nlp:.6f}") for gene, r, nlp in ranked])
 
 
 def write_labels_tsv(labels: np.ndarray, path: str | Path, truth: np.ndarray) -> None:
-    lines = ["spot\tlabel\ttruth"]
-    for i, lab in enumerate(labels):
-        lines.append(f"{i}\t{int(lab)}\t{int(truth[i])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_tsv(path, ("spot", "label", "truth"), [(i, int(lab), int(truth[i])) for i, lab in enumerate(labels)])

@@ -20,10 +20,9 @@ error margin stays below every query's current k-th cosine cannot enter any
 top k, so it is dropped; the survivors are scored by the same float32
 GEMM, whose scores for a subset of at least 2 rows and past OpenBLAS's
 small-matrix threshold are bitwise those of the whole block. The result is
-the exact top k of the float32 scores, bit for bit the one-stage scan's. An
-index whose rows the bound cannot summarize (a median residual above
-BOUND_MAX_RESIDUAL, as for random rows) keeps no bound and is scored in
-full, and a thread whose bound keeps most of a block scores the rest whole.
+the exact top k of the float32 scores, bit for bit the one-stage scan's. A
+thread whose bound keeps most of a block, as for random rows, scores the rest
+whole.
 
 Selection costs little beside the GEMM. A thread's first block is
 transposed to query-major order in strips of TRANSPOSE_STRIP_ROWS rows (one
@@ -62,8 +61,6 @@ TRANSPOSE_STRIP_ROWS = 256
 FLOAT32_UNIT_ROUNDOFF = 2.0**-24
 BOUND_RANK = 64  # eigenvectors whose coordinates the cosine bound keeps (at most d_embed)
 BOUND_SAMPLE_STEP = 16  # the eigenvectors are those of the Gram matrix of every 16th index row
-# A bound whose median sampled row has a residual norm above this prunes next to nothing, so none is kept.
-BOUND_MAX_RESIDUAL = 0.5
 # The bound's table holds int16 multiples of 1 / BOUND_SCALE: half the bytes of float32, and every entry of a row of
 # norm <= 1 + UNIT_NORM_TOL stays below 32,767.
 BOUND_SCALE = 32_000.0
@@ -148,18 +145,14 @@ class CosineBound:
     slack: float  # the margin per unit of |q|, for the longest row
 
     @classmethod
-    def of(cls, embeddings: np.ndarray) -> CosineBound | None:
-        """The bound of float32 rows of norm at most 1 + UNIT_NORM_TOL; None when the median sampled row has a residual
-        norm above BOUND_MAX_RESIDUAL outside its top BOUND_RANK directions."""
+    def of(cls, embeddings: np.ndarray) -> CosineBound:
+        """The bound of float32 rows of norm at most 1 + UNIT_NORM_TOL."""
         d = embeddings.shape[1]
         rank = min(BOUND_RANK, d)
         sample = embeddings[::BOUND_SAMPLE_STEP]
         _, vectors = np.linalg.eigh((sample.T @ sample).astype(np.float64))  # ascending eigenvalues
         basis = np.ascontiguousarray(vectors[:, ::-1][:, :rank])
         basis_f32 = basis.astype(np.float32)
-        sampled = sample @ basis_f32
-        if not np.median(1.0 - np.einsum("ij,ij->i", sampled, sampled)) <= BOUND_MAX_RESIDUAL**2:
-            return None  # the bound would prune almost nothing
         table = _mapped_array((len(embeddings), rank + 1), np.int16)
         max_norm = 1.0 + UNIT_NORM_TOL
         delta = _gamma(d + 2) * np.linalg.norm(np.abs(basis), 2) * (1.0 + 1e-12)  # |a - p| <= delta |e|
@@ -199,6 +192,8 @@ class RetrievalIndex:
             raise ValueError("RetrievalIndex: embeddings/expressions row counts differ")
         if len(self.provenance) != self.embeddings.shape[0]:
             raise ValueError("RetrievalIndex: provenance length mismatch")
+        if not self.embeddings.shape[0]:  # no k fits, and the cosine bound's table needs a row
+            raise ValueError("RetrievalIndex: no rows")
         _check_unit_rows(self.embeddings, "RetrievalIndex: embeddings")
         self.slide_ids = frozenset(sid for sid, _ in self.provenance)
 
@@ -207,9 +202,8 @@ class RetrievalIndex:
         return self.embeddings.shape[0]
 
     @cached_property
-    def bound(self) -> CosineBound | None:
-        """The rows' cosine bound, None where it would prune little: derived once, by load_index or else by the
-        first search that screens.
+    def bound(self) -> CosineBound:
+        """The rows' cosine bound: derived once, by load_index or else by the first search that screens.
 
         Rows written in place after that would not be seen: an index's rows are fixed once it is made.
         """
@@ -429,8 +423,8 @@ def search(index: RetrievalIndex, queries: np.ndarray, k: int) -> tuple[np.ndarr
     dropped row could have entered the top k (no false dismissals), and a
     subset of at least 2 rows and more than SMALL_GEMM_MACS multiply-adds
     scores bitwise as the whole block does: the rows and cosines are the
-    one-stage scan's, bit for bit. With one query, an index within one block
-    per thread, or an index without a bound, every block is scored whole. A
+    one-stage scan's, bit for bit. With one query, or an index within one
+    block per thread, every block is scored whole. A
     loaded index has its bound already; an index built in memory derives it on
     its first search that screens (~80 ms at 102,400 x 256). Candidates are
     ranked by one int64 key per entry (query, then the cosine's monotone bit
@@ -460,7 +454,7 @@ def search(index: RetrievalIndex, queries: np.ndarray, k: int) -> tuple[np.ndarr
     block = max(k, SEARCH_BLOCK_BYTES // (m * emb.itemsize))
     workers, claim = _scan_workers(n, block), _block_claims(n, block)
     screen = None
-    if m > 1 and n > workers * block and index.bound is not None:  # a lone query is scored by gemv
+    if m > 1 and n > workers * block:  # a lone query is scored by gemv
         screen = (index.bound.table, *index.bound.query_side(queries))
     if workers == 1:
         rows, cosines = _scan_blocks(emb, q_t, k, block, claim, screen)

@@ -66,10 +66,12 @@ class TestGenData:
         assert not list(tmp_path.glob(".tmp-*"))
 
     @pytest.mark.parametrize("library_size", [0, -5])
-    def test_library_size_below_one_rejected(self, tmp_path, capsys, library_size):
+    def test_library_size_below_one_rejected_before_staging(self, tmp_path, capsys, monkeypatch, library_size):
+        monkeypatch.setattr(cli, "atomic_out_dir", lambda *a: pytest.fail("staging directory made before the check"))
         out = tmp_path / "d"
         assert main(["gen-data", "--set", f"data.library_size={library_size}", "--out", str(out)]) == 1
-        assert f"library_size={library_size} must be at least 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config key data: GenConfig: library_size={library_size} must be at least 1" in err
         assert not out.exists()
         assert not list(tmp_path.glob(".tmp-*"))
 

@@ -133,7 +133,7 @@ class TestClipLoss:
             return build_loss_graph(p, inputs[0], inputs[1], coords, cfg, tcfg)
 
         report = dc.grad_check(graph, params, [patches, expr], eps=1e-5, tol=1e-4)
-        assert report.passed, str(report)
+        assert report.passed, report.max_rel_err
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +187,10 @@ class TestFit:
             fit(tiny_processed, tcfg, TINY_ENC)
         snap = err.value.snapshot
         assert {"epoch", "step", "slide_id", "loss", "param_norms"} <= set(snap)
+
+    def test_batch_of_one_refused(self):
+        with pytest.raises(ValueError, match="batch_size must be >= 2"):
+            TrainConfig(batch_size=1)
 
     def test_batch_size_preflight(self, tiny_processed):
         tcfg = TrainConfig(batch_size=64, epochs=1, seed=0)

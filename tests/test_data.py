@@ -243,13 +243,6 @@ class TestBatchSampler:
         (batch,) = batch_sampler(slide, 16, seed=1)
         assert sorted(batch.tolist()) == list(range(16))
 
-    def test_batch_size_validation(self):
-        slide = make_slide(spots=8)
-        with pytest.raises(ValueError, match="batch_size"):
-            batch_sampler(slide, 1, seed=0)
-        with pytest.raises(ValueError, match="batch_size"):
-            batch_sampler(slide, 9, seed=0)
-
 
 class TestSynthGenerate:
     def test_same_seed_byte_identical(self, tmp_path):
@@ -279,11 +272,13 @@ class TestSynthGenerate:
             assert s.patches is not None
             assert float(s.patches.min()) >= 0.0 and float(s.patches.max()) <= 1.0
 
-    def test_invalid_config_rejected(self, tmp_path):
-        with pytest.raises(DataFormatError):
-            synth_generate(GenConfig(spots_per_slide=0), 0, tmp_path / "x")
-        with pytest.raises(DataFormatError):
-            synth_generate(GenConfig(signal=1.5), 0, tmp_path / "y")
+    @pytest.mark.parametrize("values, message", [
+        ({"spots_per_slide": 0}, "need at least one slide and one spot"),
+        ({"signal": 1.5}, r"signal=1.5 outside \[0, 1\]"),
+    ])
+    def test_invalid_config_rejected_on_construction(self, values, message):
+        with pytest.raises(DataFormatError, match=f"GenConfig: {message}"):
+            GenConfig(**values)
 
     def test_domains_are_spatially_coherent(self, synth_slides):
         # the label of a spot is the nearest domain center, so labels must
@@ -376,3 +371,4 @@ def test_no_module_reaches_into_another_modules_private_names():
                   and node.value.id in aliases and node.attr.startswith("_")):
                 reached.append((path.stem, f"{node.value.id}.{node.attr}"))
     assert reached == []
+

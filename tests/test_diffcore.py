@@ -261,7 +261,7 @@ class TestGradCheckPrimitives:
 
     def check(self, graph, arrays, inputs=()):
         report = dc.grad_check(graph, _params_from(arrays), inputs, eps=self.EPS, tol=self.TOL)
-        assert report.passed, str(report)
+        assert report.passed, report.max_rel_err
 
     def test_matmul(self):
         rng = _rng(10)
@@ -393,7 +393,7 @@ class TestGradCheckOperation:
             return dc.mean(dc.matmul(inputs[0], p["w"]))
 
         report = dc.grad_check(graph, ps, [c], eps=1e-5, tol=1e-4)
-        assert report.worst <= 1e-10, str(report)
+        assert report.worst <= 1e-10, report.max_rel_err
 
     def test_eps_validation(self):
         ps = _params_from({"w": np.ones((1, 1))})

@@ -345,10 +345,10 @@ class TestTsvWriters:
     def test_metrics_tsv_layout(self, tmp_path):
         records = [MetricsRecord("a", 0.5, 0.6, 0.1, 0.2), MetricsRecord("mean", 0.5, 0.6, 0.1, 0.2)]
         path = tmp_path / "m.tsv"
-        write_metrics_tsv(records, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "slide_id\tpcc_acg\tpcc_heg\tmse\tmae"
-        assert len(lines) == 3
+        write_metrics_tsv(path, "slide_id", [(r.slide_id, r) for r in records])
+        assert path.read_text() == ("slide_id\tpcc_acg\tpcc_heg\tmse\tmae\n"
+                                    "a\t0.500000\t0.600000\t0.100000\t0.200000\n"
+                                    "mean\t0.500000\t0.600000\t0.100000\t0.200000\n")
 
     def test_per_gene_sorted_descending(self, tmp_path):
         record = MetricsRecord(

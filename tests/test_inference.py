@@ -599,6 +599,15 @@ class TestIndexPersistence:
         with pytest.raises(ValueError, match="provenance.json lists 19 entries for 20 rows"):
             load_index(tmp_path / "idx")
 
+    def test_index_without_rows_refused(self, tmp_path):
+        save_index(make_index(), tmp_path / "idx")
+        path = tmp_path / "idx" / "provenance.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "rows": 0, "entries": []}))
+        for blob in ("embeddings.f32", "expressions.f32"):
+            (tmp_path / "idx" / blob).write_bytes(b"")
+        with pytest.raises(ValueError, match="RetrievalIndex: no rows"):
+            load_index(tmp_path / "idx")
+
 
 class TestSelection:
     """The first block's strip-wise transpose and the one-key ranking of candidates."""
@@ -676,12 +685,11 @@ def low_rank_rows(n, d, rank, noise, seed):
 
 
 def one_stage(index, queries, k):
-    """search with the bound switched off: every block scored whole."""
-    index.bound = None
-    try:
-        return search(index, queries, k)
-    finally:
-        del index.bound  # derived again by the next search
+    """search's rows and cosines with no screen: every block scored whole, on one thread."""
+    emb = index.embeddings
+    block = max(k, inference.SEARCH_BLOCK_BYTES // (len(queries) * emb.itemsize))
+    return inference._scan_blocks(emb, np.ascontiguousarray(queries.T, dtype=emb.dtype), k, block,
+                                  inference._block_claims(len(emb), block))
 
 
 class CountingNumpy:
@@ -746,33 +754,35 @@ class TestTwoStageScan:
         index, queries = self.low_rank()
         stub_workers(monkeypatch, workers)
         rows, cosines, dists = got = search(index, queries, k)
-        assert index.bound is not None
         scores = tile_scores(index.embeddings, np.ascontiguousarray(queries.T), self.BLOCK)
         np.testing.assert_array_equal(rows, float32_top_k(scores, k))
         assert same_bits([cosines], [np.take_along_axis(scores.T, rows, 1)])
-        assert same_bits(got, one_stage(index, queries, k))
+        assert same_bits(got[:2], one_stage(index, queries, k))
 
     def test_bound_prunes_most_rows(self, counting):
         index, queries = self.low_rank()
         got = search(index, queries, 10)
         scored = counting.scored(self.D, self.M)
         assert scored[0] == self.BLOCK and sum(scored) < self.N // 2  # the first block, then padded subsets
-        assert same_bits(got, one_stage(index, queries, 10))
+        assert same_bits(got[:2], one_stage(index, queries, 10))
 
-    def test_random_rows_keep_no_bound_and_score_every_row(self, counting):
+    def test_random_rows_are_screened_once_then_every_row_is_scored(self, counting):
         index = make_index(n=self.N, d=self.D, seed=33)
         queries = unit_rows(self.M, self.D, 34)
-        rows, _, _ = search(index, queries, 10)
-        assert index.bound is None
+        rows, cosines, _ = search(index, queries, 10)
+        # the bound keeps more than 3/4 of the first screened block, so the thread scores every block whole
+        assert [a for a, b in counting.matmuls if b == (9, self.M)] == [(self.BLOCK, 9)]  # rank 8, then rho
         assert counting.scored(self.D, self.M) == [self.BLOCK] * (self.N // self.BLOCK)
         np.testing.assert_array_equal(rows, brute_force(index, queries, 10))
+        scores = tile_scores(index.embeddings, np.ascontiguousarray(queries.T), self.BLOCK)
+        assert same_bits([cosines], [np.take_along_axis(scores.T, rows, 1)])
 
     def test_load_index_derives_the_bound(self, tmp_path):
         index, _ = self.low_rank()
         save_index(index, tmp_path / "idx")
         assert "bound" not in vars(index)  # a built index derives it by its first search that screens
         loaded = load_index(tmp_path / "idx")
-        assert "bound" in vars(loaded) and loaded.bound is not None
+        assert "bound" in vars(loaded)
         assert same_bits([loaded.bound.table], [index.bound.table])
 
     def test_longest_rows_fit_the_int16_table(self):
