@@ -288,9 +288,10 @@ def cmd_embed(args, config) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     slides = load_dataset(args.data)
     train_ids = set(checkpoint.preprocess["train_ids"])
+    missing = sorted(train_ids - {s.slide_id for s in slides})
+    if missing:  # the index holds every training spot
+        raise ValidationError(f"embed: --data {args.data} lacks the checkpoint's training slides {missing}")
     train_slides = [transform_slide(s, checkpoint.preprocess) for s in slides if s.slide_id in train_ids]
-    if not train_slides:
-        raise ValidationError("embed: none of the checkpoint's training slides are in --data")
     index = inference.build_index(checkpoint, train_slides)
     with atomic_out_dir(args.out, config) as staging:
         inference.save_index(index, staging)

@@ -267,12 +267,16 @@ def save_slide(slide: Slide, directory: str | Path) -> None:
 
 
 def load_dataset(root: str | Path) -> list[Slide]:
-    """Load every slide subdirectory under root (sorted by name)."""
+    """Load every slide subdirectory under root (sorted by name); no two may hold the same slide_id."""
     root = Path(root)
     dirs = sorted(d for d in root.iterdir() if d.is_dir() and (d / "meta.json").exists())
     if not dirs:
         raise DataFormatError(f"no slide directories under {root}")
     slides = [load_slide(d) for d in dirs]
+    seen: dict[str, Path] = {}
+    for d, s in zip(dirs, slides):
+        if seen.setdefault(s.slide_id, d) != d:
+            raise DataFormatError(f"{seen[s.slide_id]} and {d} both hold slide_id {s.slide_id!r}")
     names = slides[0].gene_names
     for s in slides[1:]:
         if s.gene_names != names:

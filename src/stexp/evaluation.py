@@ -305,7 +305,7 @@ def write_metrics_tsv(path: str | Path, key: str, rows: list[tuple[str, MetricsR
 
 def write_per_gene_tsv(record: MetricsRecord, path: str | Path) -> None:
     """Genes sorted by -log10 p descending (ties keep gene order)."""
-    ranked = sorted(record.per_gene, key=lambda gene: -gene[2])  # a stable sort
+    ranked = sorted(record.per_gene, key=lambda gene: -gene[2])
     write_tsv(path, ("gene", "r", "neg_log10_p"), [(gene, f"{r:.6f}", f"{nlp:.6f}") for gene, r, nlp in ranked])
 
 

@@ -1,38 +1,10 @@
 """Reference index over training spots and expression prediction by retrieval.
 
 A query patch is embedded into the joint space, the top-k reference spots by
-cosine similarity are fetched from a flat store by an exact scan, and their
-observed expressions are combined with inverse-square Euclidean-distance
-weights (computed in the embedding space). The scan runs on one thread per
-CPU the BLAS leaves free (set OPENBLAS_NUM_THREADS=1 to free them): each
-thread takes the next unscanned block of index rows when it finishes one,
-keeps its own top-k, and the threads' lists are merged by (-cosine, row id),
-so ties at the k-th cosine go to the lower row id.
-
-The scan works in two stages. A thread's first block is scored in full, one
-float32 GEMM against all queries, which sets each query's k-th cosine. Every
-later block is screened first: a projection of the rows onto their top
-eigenvectors (CosineBound, derived from the embeddings, never saved:
-load_index derives it, and an index built in memory derives it on its first
-search that screens) gives, by one small GEMM and Cauchy-Schwarz, an upper
-bound on each row's cosine with each query. A row whose bound plus a float32
-error margin stays below every query's current k-th cosine cannot enter any
-top k, so it is dropped; the survivors are scored by the same float32
-GEMM, whose scores for a subset of at least 2 rows and past OpenBLAS's
-small-matrix threshold are bitwise those of the whole block. The result is
-the exact top k of the float32 scores, bit for bit the one-stage scan's. A
-thread whose bound keeps most of a block, as for random rows, scores the rest
-whole.
-
-Selection costs little beside the GEMM. A thread's first block is
-transposed to query-major order in strips of TRANSPOSE_STRIP_ROWS rows (one
-whole-tile transpose is ~5x slower) and partitioned per query to find the
-k-th cosines. Every compare against the k-th cosines reads a contiguous
-copy of them, not a strided column, and writes into a reused mask.
-Candidates are ranked by one stable sort of an int64 key, the query shifted
-up 32 bits less the float32 cosine's bit pattern made monotone, in place of
-a two-key lexsort. That pattern maps -0.0 and +0.0 to one value, so two
-zero cosines are a tie like any other and the lower row id wins it.
+cosine similarity are fetched from a flat store by an exact scan (`search`
+says how it blocks, screens, selects and merges), and their observed
+expressions are combined with inverse-square Euclidean-distance weights
+(computed in the embedding space).
 """
 
 from __future__ import annotations
@@ -310,32 +282,9 @@ def _scan_blocks(emb: np.ndarray, q_t: np.ndarray, k: int, block: int, claim,
                  screen: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact [m, k] top rows and cosines, ranked by (-cos, row id), of the blocks of `emb` that `claim` hands out.
 
-    Each block of rows is scored against all queries by one float32 GEMM into
-    a reused [rows, m] tile. In the first block every row scoring at least a
-    query's k-th cosine is a candidate: the tile is transposed to [m, rows] in
-    strips of TRANSPOSE_STRIP_ROWS rows, partitioned per query, and the k-th
-    cosines are copied out contiguously before the compare. In later blocks a
-    row must beat the current k-th cosine (again a contiguous copy), as blocks
-    come in ascending order and its higher row id loses a tie. The compare
-    writes into a reused mask. Candidates are merged with the hit queries'
-    current top k by one stable argsort of the int64 key query << 32 minus
-    the cosine's order-preserving bits, in which -0.0 and +0.0 are one value:
-    equal cosines keep their arrival order, ascending row id. Slots that no
-    row fills hold row id len(emb) and -inf.
-
-    With a `screen` (a CosineBound's table, its query side and the queries'
-    margins), a later block is first bounded by one [rows, K] x [K, m] GEMM
-    over its table rows, cast to float32 in a reused buffer, and only its rows
-    whose bound plus margin reaches some query's k-th cosine are scored, by
-    the same GEMM on that subset of rows: a dropped row scores below every
-    k-th cosine, so it could not have been a candidate. The subset is padded
-    with the block's first rows to at least 2 rows and more than
-    SMALL_GEMM_MACS multiply-adds, where its scores are bitwise the whole
-    tile's (a one-row or one-column product is a gemv, so the caller screens
-    no single query). A block too small for that is scored whole, and once the
-    bound keeps more than 3/4 of a block's rows the thread scores the rest
-    whole. (It keeps fewer as the k-th cosines rise: a first screened block
-    that keeps half its rows is worth screening on.)
+    `screen`, if given, is a CosineBound's table, its query side and the
+    queries' margins. Slots that no row fills hold row id len(emb) and -inf.
+    `search` describes the scan.
     """
     (n, d), m = emb.shape, q_t.shape[1]
     rows = np.full((m, k), n, dtype=np.int64)
@@ -408,36 +357,54 @@ def _merge_top_k(parts: list[tuple[np.ndarray, np.ndarray]], k: int) -> tuple[np
 def search(index: RetrievalIndex, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact top-k reference rows of each query by cosine, ranked.
 
-    Returns [m, k] arrays of row ids, cosines and Euclidean distances. The
-    index is read in blocks of rows taken in ascending order by one or more
-    worker threads; a block's [rows, m] score tile stays within
-    SEARCH_BLOCK_BYTES. A thread takes the next block when it finishes one, so
-    a thread slowed by a busy CPU scans fewer blocks instead of holding up the
-    rest. A thread's first block is scored against all queries by one float32
-    GEMM, and a partition of the tile (transposed in strips) sets its k-th
-    cosines. Each later block is screened by the index's CosineBound: one
-    [rows, K] x [K, m] GEMM bounds every row's cosine with every query from
-    above, and only the rows whose bound plus margin reaches some query's
-    current k-th cosine are scored, by the same GEMM on that subset. The
-    margin covers the rounding error of both the bound and the score, so no
-    dropped row could have entered the top k (no false dismissals), and a
-    subset of at least 2 rows and more than SMALL_GEMM_MACS multiply-adds
-    scores bitwise as the whole block does: the rows and cosines are the
-    one-stage scan's, bit for bit. With one query, or an index within one
-    block per thread, every block is scored whole. A
-    loaded index has its bound already; an index built in memory derives it on
-    its first search that screens (~80 ms at 102,400 x 256). Candidates are
-    ranked by one int64 key per entry (query, then the cosine's monotone bit
-    pattern, with -0.0 equal to +0.0) in a stable sort that keeps the lower
-    row id first among equal cosines. The threads' lists are merged by
-    (-cosine, row id), so ties at the k-th cosine still go to the lower row id
-    and the result is the exact top k of the float32 scores, whichever thread
-    scanned which block. There is one worker per CPU the BLAS leaves free
-    (CPUs divided by OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else by the
-    CPU count itself), at most one per full tile; with one worker the whole
-    index is scanned inline and no thread starts. For unit vectors
-    d^2 = 2 - 2 cos within float tolerance. Embeddings of any float type are
-    held as float32 (RetrievalIndex casts them).
+    Returns [m, k] arrays of row ids, cosines and Euclidean distances; for
+    unit vectors d^2 = 2 - 2 cos within float tolerance. Embeddings of any
+    float type are held as float32 (RetrievalIndex casts them).
+
+    The index is read in blocks of rows, each block's [rows, m] score tile
+    within SEARCH_BLOCK_BYTES, by one worker thread per CPU the BLAS leaves
+    free (CPUs divided by OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else
+    by the CPU count itself), at most one per full tile; with one worker the
+    index is scanned inline and no thread starts. A thread takes the next
+    block, in ascending order, when it finishes one, so a thread slowed by a
+    busy CPU scans fewer blocks instead of holding up the rest. Each thread
+    keeps its own top k, and the threads' lists are merged by (-cosine, row
+    id), so ties at the k-th cosine go to the lower row id whichever thread
+    scanned which block.
+
+    A thread's first block is scored against all queries by one float32
+    GEMM into a reused tile, which is transposed to query-major order in
+    strips of TRANSPOSE_STRIP_ROWS rows (one whole-tile transpose is ~5x
+    slower) and partitioned per query: every row at or above a query's k-th
+    cosine is a candidate. A row of a later block has a higher id, so it
+    must beat the current k-th cosine outright. Each later block is first
+    screened by the index's CosineBound: one [rows, K] x [K, m] GEMM over
+    the block's table rows, cast to float32 in a reused buffer, bounds every
+    row's cosine with every query from above, and only the rows whose bound
+    plus margin reaches some query's current k-th cosine are scored, by the
+    same GEMM on that subset. The margin covers the rounding error of both
+    the bound and the score, so no dropped row could have entered the top k
+    (no false dismissals). The subset is padded with the block's first rows
+    to at least 2 rows and more than SMALL_GEMM_MACS multiply-adds, where its
+    scores are bitwise the whole tile's (a one-row or one-column product is
+    a gemv, so a lone query is not screened); a smaller block is scored
+    whole. Once the bound keeps more than 3/4 of a block's rows, as it does
+    for rows it cannot summarize (random rows, say), the thread scores its
+    remaining blocks whole. (It keeps fewer as the k-th cosines rise: a
+    first screened block that keeps half its rows is worth screening on.)
+    An index within one block per thread is scored whole. A loaded index has
+    its bound already; an index built in memory derives it on its first
+    search that screens (~80 ms at 102,400 x 256).
+
+    Every compare against the k-th cosines reads a contiguous copy of them,
+    not a strided column, and writes into a reused mask. Candidates are
+    merged with the hit queries' current top k by one stable sort of an
+    int64 key, the query shifted up 32 bits less the float32 cosine's bit
+    pattern made monotone, in place of a two-key lexsort. That pattern maps
+    -0.0 and +0.0 to one value, so two zero cosines tie like any other, and
+    equal cosines keep their arrival order, ascending row id. The rows and
+    cosines are the exact top k of the float32 scores, bit for bit those of
+    scoring every row.
     """
     emb = index.embeddings
     queries = np.asarray(queries, dtype=emb.dtype)

@@ -872,6 +872,28 @@ class TestPreflight:
         assert "batch_size=8 exceeds the kept spot count of ['slide_000']" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_two_directories_with_one_slide_id_rejected(self, pipeline, tmp_path, capsys):
+        root, cfg = pipeline
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        shutil.copytree(data / "slide_001", data / "slide_001b")
+        out = tmp_path / "out"
+        assert main(["loocv", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
+        assert f"{data / 'slide_001'} and {data / 'slide_001b'} both hold slide_id 'slide_001'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_embed_refuses_data_without_every_training_slide(self, pipeline, tmp_path, capsys):
+        root, cfg = pipeline
+        ck = tmp_path / "ck"  # trained on both slides
+        assert main(["train", "--config", str(cfg), "--data", str(root / "data"), "--out", str(ck)]) == 0
+        data = tmp_path / "data"
+        shutil.copytree(root / "data" / "slide_000", data / "slide_000")
+        out = tmp_path / "idx"
+        assert main(["embed", "--config", str(cfg), "--checkpoint", str(ck), "--data", str(data),
+                     "--out", str(out)]) == 1
+        assert "lacks the checkpoint's training slides ['slide_001']" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("hvg_num", [0, -4])
     @pytest.mark.parametrize("command", ["train", "loocv"])
     def test_hvg_num_below_one_rejected_before_preprocess(self, pipeline, tmp_path, capsys, monkeypatch,

@@ -372,3 +372,22 @@ def test_no_module_reaches_into_another_modules_private_names():
                 reached.append((path.stem, f"{node.value.id}.{node.attr}"))
     assert reached == []
 
+
+def test_every_private_name_is_used_in_the_library():
+    """Each `_name` function, method, class or module constant of src/stexp is referenced in src/stexp outside its
+    own definition, so none is left that only tests reach."""
+    defined, referenced = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        constants = [(t.id, node) for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                     for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                     if isinstance(t, ast.Name)]
+        defs = [(n.name, n) for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        defined += [(path.stem, name, node.lineno, node.end_lineno) for name, node in constants + defs
+                    if name.startswith("_") and not name.startswith("__")]
+        referenced += [(path.stem, n.id if isinstance(n, ast.Name) else n.attr, n.lineno) for n in ast.walk(tree)
+                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)]
+    unused = [f"{module}.{name}" for module, name, first, last in defined
+              if not any(ref == name and not (where == module and first <= line <= last)
+                         for where, ref, line in referenced)]
+    assert unused == []
