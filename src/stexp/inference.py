@@ -279,10 +279,10 @@ def _cosine_order(c: np.ndarray) -> np.ndarray:
 
 
 def _scan_blocks(emb: np.ndarray, q_t: np.ndarray, k: int, block: int, claim,
-                 screen: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 screen: tuple[np.ndarray, np.ndarray, np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
     """Exact [m, k] top rows and cosines, ranked by (-cos, row id), of the blocks of `emb` that `claim` hands out.
 
-    `screen`, if given, is a CosineBound's table, its query side and the
+    `screen`, unless None, is a CosineBound's table, its query side and the
     queries' margins. Slots that no row fills hold row id len(emb) and -inf.
     `search` describes the scan.
     """

@@ -467,7 +467,7 @@ class TestThreadedScan(TestRowBlockedScan):
             starts = iter(block * b for b in blocks)
             return lambda: next(starts, None)
 
-        parts = [inference._scan_blocks(index.embeddings, q_t, k, block, claims(b)) for b in split]
+        parts = [inference._scan_blocks(index.embeddings, q_t, k, block, claims(b), None) for b in split]
         merged = inference._merge_top_k(parts, k)
         rows_per_block(monkeypatch, block, len(self.Q))
         stub_workers(monkeypatch, 1)
@@ -689,7 +689,7 @@ def one_stage(index, queries, k):
     emb = index.embeddings
     block = max(k, inference.SEARCH_BLOCK_BYTES // (len(queries) * emb.itemsize))
     return inference._scan_blocks(emb, np.ascontiguousarray(queries.T, dtype=emb.dtype), k, block,
-                                  inference._block_claims(len(emb), block))
+                                  inference._block_claims(len(emb), block), None)
 
 
 class CountingNumpy:
