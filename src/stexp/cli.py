@@ -80,7 +80,7 @@ class _Parser(argparse.ArgumentParser):
 # top-level key.
 _DATACLASS_SECTIONS = {
     "data": (GenConfig, ()),
-    "encoder": (EncoderConfig, ("hvg_num", "input_kind", "patch_shape", "input_feat_dim")),
+    "encoder": (EncoderConfig, ("hvg_num", "patch_shape", "input_feat_dim")),
     "train": (TrainConfig, ("seed",)),
 }
 
@@ -194,13 +194,11 @@ def config_object(config: dict, cls, **derived):
 
 
 def _encoder_config(config: dict, slides) -> EncoderConfig:
-    """The encoder keys plus hvg_num and the input fields, which the data decides; checked against its coordinates."""
+    """The encoder keys plus hvg_num and the input shape, which the data decides; checked against its coordinates."""
     sample = slides[0]
-    if sample.patches is not None:
-        inputs = {"input_kind": "pixels", "patch_shape": sample.patches.shape[1:], "input_feat_dim": None}
-    else:
-        inputs = {"input_kind": "features", "patch_shape": None, "input_feat_dim": sample.features.shape[1]}
-    enc_cfg = config_object(config, EncoderConfig, hvg_num=config["data"]["hvg_num"], **inputs)
+    enc_cfg = config_object(config, EncoderConfig, hvg_num=config["data"]["hvg_num"],
+                            patch_shape=None if sample.patches is None else sample.patches.shape[1:],
+                            input_feat_dim=None if sample.features is None else sample.features.shape[1])
     coord_max = max(int(s.coords.max()) for s in slides)
     if enc_cfg.use_positional and enc_cfg.n_positions <= coord_max:
         raise ValidationError(f"config key encoder.n_positions={enc_cfg.n_positions} must exceed "

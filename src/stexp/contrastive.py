@@ -117,28 +117,18 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
-    """Write manifest.json plus a little-endian float32 blob tiled by the manifest."""
+    """Write manifest.json, listing each parameter's name and shape, and params.f32, their <f4 values in that order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    offset = 0
-    chunks = []
-    for name, t in ckpt.params.items():
-        arr = t.data.astype("<f4")
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes})
-        chunks.append(arr.tobytes())
-        offset += arr.nbytes
+    arrays = [(name, t.data.astype("<f4")) for name, t in ckpt.params.items()]
     manifest = {
         "encoder": asdict(ckpt.encoder_config),
         "train": asdict(ckpt.train_config),
         "preprocess": ckpt.preprocess,
-        "seed": ckpt.train_config.seed,
-        "epochs_completed": ckpt.train_config.epochs,
-        "final_loss": ckpt.history[-1],
-        "params": {"dtype": "<f4", "total_bytes": offset, "entries": entries},
+        "params": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
         "loss_history": ckpt.history,
     }
-    (directory / "params.f32").write_bytes(b"".join(chunks))
+    (directory / "params.f32").write_bytes(b"".join(arr.tobytes() for _, arr in arrays))
     write_json(directory / "manifest.json", manifest)
 
 
@@ -148,49 +138,42 @@ _MANIFEST_KEYS = {
     "train": {},
     "preprocess": {"target_sum": float, "transform": str, "hvg_indices": tuple[int, ...],
                    "hvg_gene_names": tuple[str, ...], "train_ids": tuple[str, ...]},
-    "params": {"dtype": str, "total_bytes": int, "entries": list},
 }
-_PARAMS_ENTRY_KEYS = {"name": str, "shape": tuple[int, ...], "offset": int, "nbytes": int}
+_PARAMS_ENTRY_KEYS = {"name": str, "shape": tuple[int, ...]}
 
 
 def load_checkpoint(directory: str | Path) -> Checkpoint:
-    """Read a checkpoint, refusing a preprocessing transform other than PREPROCESS_TRANSFORM or a non-<f4 layout.
+    """Read a checkpoint, refusing a preprocessing transform other than PREPROCESS_TRANSFORM.
 
-    Every section and key that a checkpoint's readers use is checked first, every encoder and train
-    setting among them, so a manifest that lacks one, holds one of another type or holds a field no
-    config has is a ValueError naming the file and the dotted field.
+    Every key that a checkpoint's readers use is checked first, every encoder and train setting and each
+    parameter's name and shape among them, so a manifest that lacks one, holds one of another type, holds a
+    field no config has or a negative dimension is a ValueError naming the file and the dotted field. A
+    params.f32 that does not hold exactly the float32 values of the listed shapes is one naming params.f32.
     """
     directory = Path(directory)
     path = directory / "manifest.json"
-    manifest = read_json(path, required={**dict.fromkeys(_MANIFEST_KEYS, dict), "loss_history": list})
+    manifest = read_json(path, required={**dict.fromkeys(_MANIFEST_KEYS, dict), "params": list,
+                                         "loss_history": list})
     for section, keys in _MANIFEST_KEYS.items():
         require_object(manifest[section], section, keys, path)
-    entries = manifest["params"]["entries"]
+    entries = manifest["params"]
     for i, entry in enumerate(entries):
-        require_object(entry, f"params.entries.{i}", _PARAMS_ENTRY_KEYS, path)
+        require_object(entry, f"params.{i}", _PARAMS_ENTRY_KEYS, path)
+        if min(entry["shape"], default=0) < 0:
+            raise ValueError(f"{path}: field params.{i}.shape={entry['shape']} has a negative dimension")
     enc_cfg = config_from_json(enc.EncoderConfig, manifest["encoder"], f"{path}: field encoder.")
     train_cfg = config_from_json(TrainConfig, manifest["train"], f"{path}: field train.")
     for key, implemented in PREPROCESS_TRANSFORM.items():
         if manifest["preprocess"][key] != implemented:
             raise ValueError(f"{path}: field preprocess.{key}={manifest['preprocess'][key]!r} is not supported "
                              f"(only {implemented!r})")
-    layout = manifest["params"]
-    if layout["dtype"] != "<f4":
-        raise ValueError(f"{path}: field params.dtype={layout['dtype']!r} is not supported (only '<f4')")
-    blob = read_blob(directory / "params.f32", "u1", (layout["total_bytes"],))
+    sizes = [math.prod(entry["shape"]) for entry in entries]
+    blob = read_blob(directory / "params.f32", "<f4", (sum(sizes),))
     params = ParamSet()
-    expected_offset = 0
-    for entry in entries:
-        if entry["offset"] != expected_offset:
-            raise ValueError(f"{path}: offsets do not tile the blob at {entry['name']}")
-        if entry["nbytes"] != 4 * int(np.prod(entry["shape"])):
-            raise ValueError(f"{path}: params entry {entry['name']} has shape {entry['shape']}, "
-                             f"which is not its {entry['nbytes']} bytes of <f4")
-        expected_offset += entry["nbytes"]
-        arr = blob[entry["offset"] : expected_offset].view("<f4").reshape(entry["shape"])
-        params.add(entry["name"], arr)
-    if expected_offset != layout["total_bytes"]:
-        raise ValueError(f"{path}: offsets do not tile the blob exactly")
+    offset = 0
+    for entry, size in zip(entries, sizes):
+        params.add(entry["name"], blob[offset : offset + size].reshape(entry["shape"]))
+        offset += size
     return Checkpoint(params, enc_cfg, train_cfg, manifest["preprocess"], manifest["loss_history"])
 
 

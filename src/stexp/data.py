@@ -377,7 +377,6 @@ def preprocess(slides: list[Slide], hvg_num: int, train_ids: list[str]) -> Proce
 
     manifest = {
         **PREPROCESS_TRANSFORM,
-        "hvg_num": hvg_num,
         "hvg_indices": [int(i) for i in hvg],
         "hvg_gene_names": [slides[0].gene_names[i] for i in hvg],
         "train_ids": list(train_ids),

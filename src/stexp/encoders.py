@@ -31,9 +31,8 @@ class EncoderConfig:
     n_positions: int = 256  # positional table rows per axis
     conv_channels: tuple[int, ...] = (16, 32, 64)
     proj_hidden: int = 256
-    input_kind: str = "pixels"  # "pixels" | "features"
-    patch_shape: tuple[int, int, int] | None = None  # (c, h, w) when pixels
-    input_feat_dim: int | None = None  # when features
+    patch_shape: tuple[int, int, int] | None = None  # (c, h, w) of pixel input
+    input_feat_dim: int | None = None  # width of precomputed feature input; exactly one of the two is set
     use_positional: bool = True
     use_mhsa: bool = True
     image_identity: bool = False  # bypass the conv stack, flatten pixels
@@ -49,33 +48,32 @@ class EncoderConfig:
             raise ValueError(
                 f"EncoderConfig: hvg_num={self.hvg_num} must be divisible by n_heads={self.n_heads}"
             )
-        if self.input_kind == "pixels":
-            if self.patch_shape is None:
-                raise ValueError("EncoderConfig: pixels input requires patch_shape")
-            if not self.image_identity and not (self.conv_channels and min(self.conv_channels) >= 1):
-                raise ValueError(f"EncoderConfig: conv_channels={list(self.conv_channels)} needs at least "
-                                 "one layer, each of at least 1 channel")
-        elif self.input_kind == "features":
-            if self.input_feat_dim is None:
-                raise ValueError("EncoderConfig: features input requires input_feat_dim")
-            if self.image_identity:
-                raise ValueError("EncoderConfig: image_identity flattens pixels, and features input has none")
-        else:
-            raise ValueError(f"EncoderConfig: unknown input_kind {self.input_kind!r}")
+        if (self.patch_shape is None) == (self.input_feat_dim is None):
+            raise ValueError("EncoderConfig: exactly one of patch_shape and input_feat_dim must be set")
+        if self.image_identity and self.patch_shape is None:
+            raise ValueError("EncoderConfig: image_identity flattens pixels, and features input has none")
+        if self.convolves and not (self.conv_channels and min(self.conv_channels) >= 1):
+            raise ValueError(f"EncoderConfig: conv_channels={list(self.conv_channels)} needs at least "
+                             "one layer, each of at least 1 channel")
 
     @property
     def d_k(self) -> int:
         return self.hvg_num // self.n_heads
 
     @property
+    def convolves(self) -> bool:
+        """Whether patch pixels go through the conv stack; features and the identity image path skip it."""
+        return self.patch_shape is not None and not self.image_identity
+
+    @property
+    def input_shape(self) -> tuple[int, ...]:
+        """The shape of one spot's image input: (c, h, w) pixels or (input_feat_dim,) features."""
+        return tuple(self.patch_shape) if self.patch_shape is not None else (self.input_feat_dim,)
+
+    @property
     def feat_dim(self) -> int:
         """Width of the patch feature vector entering the image projection head."""
-        if self.input_kind == "features":
-            return self.input_feat_dim
-        c, h, w = self.patch_shape
-        if self.image_identity:
-            return c * h * w
-        return int(sum(self.conv_channels))
+        return int(sum(self.conv_channels)) if self.convolves else math.prod(self.input_shape)
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -91,7 +89,7 @@ def init_params(cfg: EncoderConfig, seed: int) -> ParamSet:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ps = ParamSet()
 
-    if cfg.input_kind == "pixels" and not cfg.image_identity:
+    if cfg.convolves:
         c_in = cfg.patch_shape[0]
         for i, c_out in enumerate(cfg.conv_channels):
             fan = c_in * CONV_KERNEL * CONV_KERNEL
@@ -128,22 +126,16 @@ def init_params(cfg: EncoderConfig, seed: int) -> ParamSet:
 
 
 def prepare_patch_input(patches_or_features: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
-    """Bring raw patch data into the array layout the encoder consumes."""
+    """Bring raw patch data into the array layout the encoder consumes: flat rows unless the conv stack reads it."""
     arr = np.asarray(patches_or_features)
-    if cfg.input_kind == "features":
-        if arr.ndim != 2 or arr.shape[1] != cfg.input_feat_dim:
-            raise dc.GraphError(f"encode_patch: features shape {arr.shape} != (N, {cfg.input_feat_dim})")
-        return arr
-    if arr.ndim != 4 or arr.shape[1:] != tuple(cfg.patch_shape):
-        raise dc.GraphError(f"encode_patch: patch shape {arr.shape[1:]} != {tuple(cfg.patch_shape)}")
-    if cfg.image_identity:
-        return arr.reshape(arr.shape[0], -1)
-    return arr
+    if arr.shape[1:] != cfg.input_shape:
+        raise dc.GraphError(f"encode_patch: input shape {arr.shape[1:]} != {cfg.input_shape}")
+    return arr if cfg.convolves else arr.reshape(arr.shape[0], cfg.feat_dim)
 
 
 def lower_patches(patches: np.ndarray, cfg: EncoderConfig) -> np.ndarray | None:
     """Layer 0's im2col columns [N, Ho*Wo, K] of a patch array; None when no conv stack reads the input."""
-    if cfg.input_kind == "features" or cfg.image_identity:
+    if not cfg.convolves:
         return None
     return dc.im2col(prepare_patch_input(patches, cfg), CONV_KERNEL, CONV_KERNEL, CONV_STRIDE, CONV_PADDING)
 
@@ -154,7 +146,7 @@ def encode_patch(patch_input: Tensor, params: ParamSet, cfg: EncoderConfig,
 
     ``lowered``, the input's ``lower_patches`` rows, spares layer 0 its im2col.
     """
-    if cfg.input_kind == "features" or cfg.image_identity:
+    if not cfg.convolves:
         return patch_input  # identity
     x = patch_input
     pooled = []

@@ -213,7 +213,7 @@ class TestFeaturesInput:
         assert main(["eval", *args, "--pred", str(tmp_path / "pred"), "--slide", slide,
                      "--checkpoint", str(tmp_path / "ck"), "--out", str(tmp_path / "ev")]) == 0
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-        assert manifest["encoder"]["input_kind"] == "features" and manifest["encoder"]["input_feat_dim"] == 12
+        assert manifest["encoder"]["patch_shape"] is None and manifest["encoder"]["input_feat_dim"] == 12
 
 
 class TestPipeline:
@@ -273,6 +273,10 @@ def _truncate(path: Path) -> None:
     path.write_bytes(path.read_bytes()[:-4])
 
 
+def _pad(path: Path) -> None:
+    path.write_bytes(path.read_bytes() + bytes(4))
+
+
 def _cut_in_half(path: Path) -> None:
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
@@ -317,22 +321,35 @@ def _provenance_entry(i: int, entry):
     return edit
 
 
-# (corruption of ck/manifest.json, the field its error names); entry 0 is attn.h0.wk, an [8, 4] tensor
+def _parent_format(path: Path) -> None:
+    """Rewrite a checkpoint manifest in the format of the release before the parameter list: each fact it derives
+    (the encoder's input kind, the blob layout, the run's seed, epochs and final loss, the gene count) stated again."""
+    manifest = json.loads(path.read_text())
+    entries, offset = [], 0
+    for entry in manifest["params"]:
+        nbytes = 4 * int(np.prod(entry["shape"]))
+        entries.append({**entry, "offset": offset, "nbytes": nbytes})
+        offset += nbytes
+    manifest["params"] = {"dtype": "<f4", "total_bytes": offset, "entries": entries}
+    manifest["encoder"]["input_kind"] = "pixels"
+    manifest["preprocess"]["hvg_num"] = len(manifest["preprocess"]["hvg_indices"])
+    manifest.update(seed=manifest["train"]["seed"], epochs_completed=manifest["train"]["epochs"],
+                    final_loss=manifest["loss_history"][-1])
+    path.write_text(json.dumps(manifest))
+
+
+# (corruption of ck/manifest.json, the field its error names); params.0 is attn.h0.wk, an [8, 4] tensor
 CHECKPOINT_FIELD_CORRUPTIONS = [
     (_set("preprocess.target_sum", 5000), "preprocess.target_sum"),
     (_set("preprocess.transform", "sqrt"), "preprocess.transform"),
     (_set("preprocess.transform", None), "preprocess.transform"),
-    (_set("params.dtype", "<i4"), "params.dtype"),
-    (_set("params.entries.0.shape", [9, 4]), "attn.h0.wk"),
+    (_parent_format, "field params"),
     # a missing or mistyped nested field, named by its dotted path
     (_set("preprocess.hvg_indices", None), "preprocess.hvg_indices"),
     (_set("preprocess.train_ids", None), "preprocess.train_ids"),
-    (_set("params.dtype", None), "params.dtype"),
-    (_set("params.total_bytes", None), "params.total_bytes"),
-    (_set("params.entries", None), "params.entries"),
-    (_set("params.entries", 7), "params.entries"),
-    *((_set(f"params.entries.0.{key}", None), f"params.entries.0.{key}")
-      for key in ("name", "shape", "offset", "nbytes")),
+    (_set("params", None), "params"),
+    (_set("params", 7), "params"),
+    *((_set(f"params.0.{key}", None), f"params.0.{key}") for key in ("name", "shape")),
     (_set("encoder", []), "encoder"),
     (_set("train", []), "train"),
     # a field of another type than its annotation, in a config section or in the layout
@@ -340,8 +357,10 @@ CHECKPOINT_FIELD_CORRUPTIONS = [
     (_set("encoder.d_embed", "16"), "encoder.d_embed"),
     (_set("train.batch_size", 8.5), "train.batch_size"),
     (_set("preprocess.hvg_indices", "0,1"), "preprocess.hvg_indices"),
-    (_set("params.total_bytes", "1024"), "params.total_bytes"),
-    (_set("params.entries.0.offset", 0.0), "params.entries.0.offset"),
+    (_set("params.0.name", 7), "params.0.name"),
+    (_set("params.0.shape", "8,4"), "params.0.shape"),
+    (_set("params.0.shape", [8, 4.0]), "params.0.shape"),
+    (_set("params.0.shape", [-8, -4]), "params.0.shape"),
     # every setting is required, each missing one named: a field added to a config gets its row here
     *((_set(f"{section}.{f.name}", None), f"{section}.{f.name}")
       for section, cls in (("encoder", EncoderConfig), ("train", TrainConfig)) for f in dataclasses.fields(cls)),
@@ -354,6 +373,8 @@ CHECKPOINT_FIELD_CORRUPTIONS = [
     *((_set(dotted, value), dotted) for dotted, value in (
         ("encoder.attn_residual", True), ("train.learn_temperature", False), ("train.beta1", 0.9),
         ("train.beta2", 0.999), ("train.epsilon", 1e-8))),
+    # the input kind follows from which of patch_shape and input_feat_dim is set, so no manifest states it
+    (_set("encoder.input_kind", "pixels"), "encoder.input_kind"),
 ]
 # (artifact under the pipeline root, corruption)
 ARTIFACT_CORRUPTIONS = [
@@ -363,10 +384,10 @@ ARTIFACT_CORRUPTIONS = [
     ("idx/embeddings.f32", Path.unlink),
     ("pred/meta.json", Path.unlink),
     ("ck/params.f32", _truncate),
+    ("ck/params.f32", _pad),
     ("idx/expressions.f32", _truncate),
     ("pred/expression.f32", _truncate),
     ("ck/manifest.json", _cut_in_half),
-    ("ck/manifest.json", _without("params")),
     ("ck/manifest.json", _without("preprocess")),
     ("idx/provenance.json", _without("entries")),
     ("idx/provenance.json", _set("rows", 24.0)),
@@ -766,23 +787,16 @@ class TestPreflight:
         assert f"{section}.{field}" in err and str(ck / "manifest.json") in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("corrupt, message", [
-        (lambda entries: entries[1].update(offset=entries[1]["offset"] + 4), "do not tile the blob at"),
-        (lambda entries: entries.pop(), "do not tile the blob exactly"),
-    ], ids=["shifted-offset", "dropped-entry"])
-    def test_checkpoint_with_untiled_offsets_names_the_manifest(self, pipeline, tmp_path, capsys,
-                                                                corrupt, message):
+    @pytest.mark.parametrize("shape", [[9, 4], [7, 4]])
+    def test_checkpoint_listing_another_blob_size_names_the_blob(self, pipeline, tmp_path, capsys, shape):
         root, cfg = pipeline
         ck = tmp_path / "ck"
         shutil.copytree(root / "ck", ck)
-        manifest = json.loads((ck / "manifest.json").read_text())
-        corrupt(manifest["params"]["entries"])
-        (ck / "manifest.json").write_text(json.dumps(manifest))
+        _set("params.0.shape", shape)(ck / "manifest.json")
         out = tmp_path / "idx"
         assert main(["embed", "--config", str(cfg), "--checkpoint", str(ck), "--data", str(root / "data"),
                      "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert message in err and str(ck / "manifest.json") in err
+        assert f"{ck / 'params.f32'} is " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("use_positional, rc", [("true", 1), ("false", 2)])
@@ -946,7 +960,7 @@ class TestSchema:
         assert set(cli.SCHEMA) == set(CHANGED_VALUES)
 
     def test_every_field_has_exactly_one_key(self):
-        derived = {(EncoderConfig, n) for n in ("hvg_num", "input_kind", "patch_shape", "input_feat_dim")}
+        derived = {(EncoderConfig, n) for n in ("hvg_num", "patch_shape", "input_feat_dim")}
         derived.add((TrainConfig, "seed"))
         owned = [(key.owner, key.field) for key in cli.SCHEMA.values() if key.owner is not None]
         for cls in (GenConfig, EncoderConfig, TrainConfig):
@@ -958,7 +972,7 @@ class TestSchema:
         config = cli.default_config()
         assert cli.config_object(config, GenConfig) == GenConfig()
         assert cli.config_object(config, TrainConfig, seed=config["seed"]) == TrainConfig()
-        inputs = {"hvg_num": 64, "input_kind": "pixels", "patch_shape": (3, 32, 32), "input_feat_dim": None}
+        inputs = {"hvg_num": 64, "patch_shape": (3, 32, 32), "input_feat_dim": None}
         assert cli.config_object(config, EncoderConfig, **inputs) == EncoderConfig(**inputs)
 
     @pytest.mark.parametrize("dotted", sorted(CHANGED_VALUES))

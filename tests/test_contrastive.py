@@ -1,5 +1,6 @@
 """Loss arithmetic, training determinism, and checkpoint round-trips."""
 
+import dataclasses
 import json
 import math
 from dataclasses import asdict
@@ -10,6 +11,7 @@ import pytest
 from stexp import diffcore as dc
 from stexp import encoders as enc
 from stexp.contrastive import (
+    Checkpoint,
     TrainConfig,
     TrainingDiverged,
     build_loss_graph,
@@ -18,7 +20,7 @@ from stexp.contrastive import (
     loss_from_similarity,
     save_checkpoint,
 )
-from stexp.data import GenConfig, load_dataset, preprocess, synth_generate
+from stexp.data import PREPROCESS_TRANSFORM, GenConfig, load_dataset, preprocess, synth_generate
 from stexp.encoders import EncoderConfig, embed_patches, embed_spots, init_params
 from stexp.inference import RetrievalIndex, build_index, encode_slide_patches, search
 
@@ -268,15 +270,41 @@ class TestCheckpointRoundTrip:
         p2 = embed_patches(slide.patches[:16], back.params, back.encoder_config)
         np.testing.assert_array_equal(p1, p2)
 
-    def test_manifest_offsets_validated(self, tiny_processed, tmp_path):
-        tcfg = TrainConfig(batch_size=16, epochs=1, temperature=0.05, seed=9)
-        ckpt = fit(tiny_processed, tcfg, TINY_ENC)
-        save_checkpoint(ckpt, tmp_path / "ck")
-        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-        manifest["params"]["entries"][1]["offset"] += 4
-        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="tile"):
+    @pytest.mark.parametrize("edit", [lambda b: b[:-4], lambda b: b + bytes(4)], ids=["short", "long"])
+    def test_blob_of_another_size_refused_naming_it(self, tmp_path, edit):
+        save_checkpoint(_tiny_checkpoint(TINY_ENC), tmp_path / "ck")
+        blob = tmp_path / "ck" / "params.f32"
+        blob.write_bytes(edit(blob.read_bytes()))
+        with pytest.raises(ValueError, match=f"{blob} is "):
             load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("enc_cfg", [
+        TINY_ENC,
+        dataclasses.replace(TINY_ENC, image_identity=True),
+        dataclasses.replace(TINY_ENC, patch_shape=None, input_feat_dim=12),
+    ], ids=["pixels", "image_identity", "features"])
+    def test_every_encoder_input_round_trips_bitwise(self, tmp_path, enc_cfg):
+        ckpt = _tiny_checkpoint(enc_cfg)
+        save_checkpoint(ckpt, tmp_path / "a")
+        back = load_checkpoint(tmp_path / "a")
+        assert back.encoder_config == enc_cfg
+        assert back.params.names() == ckpt.params.names()
+        for name, t in ckpt.params.items():
+            assert back.params[name].data.dtype == np.float32, name
+            assert back.params[name].data.tobytes() == t.data.tobytes(), name
+        save_checkpoint(back, tmp_path / "b")
+        for file in ("manifest.json", "params.f32"):
+            assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "b" / file).read_bytes(), file
+
+    def test_every_manifest_key_is_read(self, tmp_path):
+        # a key that is written but never read would be a second copy of a fact, free to disagree with the first
+        save_checkpoint(_tiny_checkpoint(TINY_ENC), tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        written = json.loads(path.read_text())
+        for key in written:
+            path.write_text(json.dumps({k: v for k, v in written.items() if k != key}))
+            with pytest.raises(ValueError, match=f"{path}: missing key '{key}'"):
+                load_checkpoint(tmp_path / "ck")
 
     def test_history_survives_round_trip(self, tiny_processed, tmp_path):
         tcfg = TrainConfig(batch_size=16, epochs=3, temperature=0.05, seed=9)
@@ -308,7 +336,8 @@ class TestCheckpointRoundTrip:
         enc_cfg = EncoderConfig(hvg_num=8, d_embed=16, n_heads=2, conv_channels=(6,),
                                 proj_hidden=16, patch_shape=(3, 8, 8))
         tcfg = TrainConfig(batch_size=8, epochs=3, learning_rate=2e-3, temperature=0.1, seed=7)
-        retired = {"encoder": {"attn_residual"}, "train": {"learn_temperature", "beta1", "beta2", "epsilon"}}
+        retired = {"encoder": {"attn_residual", "input_kind"},
+                   "train": {"learn_temperature", "beta1", "beta2", "epsilon"}}
         earlier = {section: {k: v for k, v in values.items() if k not in retired[section]}
                    for section, values in written.items()}
         assert json.loads(json.dumps({"encoder": asdict(enc_cfg), "train": asdict(tcfg)})) == earlier
@@ -335,10 +364,10 @@ class TestCheckpointRoundTrip:
         ckpt = fit(tiny_processed, tcfg, TINY_ENC)
         save_checkpoint(ckpt, tmp_path / "ck")
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-        assert set(manifest) == {"encoder", "train", "preprocess", "seed", "epochs_completed", "final_loss",
-                                 "params", "loss_history"}
-        assert (manifest["seed"], manifest["epochs_completed"]) == (9, 2)
-        assert manifest["loss_history"] == ckpt.history and manifest["final_loss"] == ckpt.history[-1]
+        assert set(manifest) == {"encoder", "train", "preprocess", "params", "loss_history"}
+        assert manifest["params"] == [{"name": name, "shape": list(t.shape)} for name, t in ckpt.params.items()]
+        assert (manifest["train"]["seed"], manifest["train"]["epochs"]) == (9, 2)
+        assert manifest["loss_history"] == ckpt.history
         assert manifest["preprocess"] == json.loads(json.dumps(tiny_processed.manifest))
 
     def test_fit_holds_the_configs_it_was_given(self, tiny_processed):
@@ -349,13 +378,20 @@ class TestCheckpointRoundTrip:
         assert not hasattr(ckpt, "manifest")
 
 
+def _tiny_checkpoint(enc_cfg: EncoderConfig) -> Checkpoint:
+    """An untrained checkpoint of `enc_cfg`, with a preprocessing manifest of its genes."""
+    preprocess = {**PREPROCESS_TRANSFORM, "hvg_indices": list(range(enc_cfg.hvg_num)),
+                  "hvg_gene_names": [f"g{i}" for i in range(enc_cfg.hvg_num)], "train_ids": ["s0"]}
+    return Checkpoint(init_params(enc_cfg, seed=2), enc_cfg, TrainConfig(seed=2), preprocess, [1.5])
+
+
 def _write_checkpoint_dir(directory, sections: dict):
     """A parameterless checkpoint directory whose manifest holds `sections`; returns the directory."""
     directory.mkdir()
     manifest = {**sections,
                 "preprocess": {"target_sum": 10000.0, "transform": "log1p", "hvg_indices": [], "hvg_gene_names": [],
                                "train_ids": []},
-                "params": {"dtype": "<f4", "total_bytes": 0, "entries": []}, "loss_history": []}
+                "params": [], "loss_history": []}
     (directory / "manifest.json").write_text(json.dumps(manifest))
     (directory / "params.f32").write_bytes(b"")
     return directory

@@ -15,7 +15,6 @@ def tiny_cfg(**overrides):
         n_positions=16,
         conv_channels=(4,),
         proj_hidden=8,
-        input_kind="pixels",
         patch_shape=(3, 8, 8),
     )
     base.update(overrides)
@@ -24,7 +23,7 @@ def tiny_cfg(**overrides):
 
 def tiny_batch(cfg, n=4, seed=0, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    if cfg.input_kind == "pixels":
+    if cfg.patch_shape is not None:
         patch = rng.random((n, *cfg.patch_shape)).astype(dtype)
     else:
         patch = rng.standard_normal((n, cfg.input_feat_dim)).astype(dtype)
@@ -42,15 +41,24 @@ class TestConfig:
         assert tiny_cfg().feat_dim == 4
         assert tiny_cfg(conv_channels=(4, 8)).feat_dim == 12
         assert tiny_cfg(image_identity=True).feat_dim == 3 * 8 * 8
-        assert tiny_cfg(input_kind="features", patch_shape=None, input_feat_dim=13).feat_dim == 13
+        assert tiny_cfg(patch_shape=None, input_feat_dim=13).feat_dim == 13
 
     def test_conv_stack_needs_a_channel_per_layer(self):
         for channels in ((), (4, 0)):
             with pytest.raises(ValueError, match="conv_channels"):
                 tiny_cfg(conv_channels=channels)
         # no conv stack runs for precomputed features or the identity image path
-        assert tiny_cfg(conv_channels=(), input_kind="features", patch_shape=None, input_feat_dim=5).feat_dim == 5
+        assert tiny_cfg(conv_channels=(), patch_shape=None, input_feat_dim=5).feat_dim == 5
         assert tiny_cfg(conv_channels=(), image_identity=True).feat_dim == 3 * 8 * 8
+
+    @pytest.mark.parametrize("inputs", [{"patch_shape": None}, {"input_feat_dim": 5}])
+    def test_exactly_one_input_shape_is_set(self, inputs):
+        with pytest.raises(ValueError, match="exactly one of patch_shape and input_feat_dim"):
+            tiny_cfg(**inputs)
+
+    def test_identity_image_path_needs_pixels(self):
+        with pytest.raises(ValueError, match="image_identity flattens pixels"):
+            tiny_cfg(patch_shape=None, input_feat_dim=5, image_identity=True)
 
 
 class TestEncodePatch:
@@ -62,11 +70,21 @@ class TestEncodePatch:
         assert np.all(np.isfinite(z.data))
 
     def test_features_pass_through_exactly(self):
-        cfg = tiny_cfg(input_kind="features", patch_shape=None, input_feat_dim=6)
+        cfg = tiny_cfg(patch_shape=None, input_feat_dim=6)
         params = enc.init_params(cfg, seed=0)
         v = np.random.default_rng(1).standard_normal((3, 6)).astype(np.float32)
         z = enc.encode_patch(dc.constant(v), params, cfg)
         np.testing.assert_array_equal(z.data, v)
+
+    def test_features_are_prepared_as_a_view_of_themselves(self):
+        cfg = tiny_cfg(patch_shape=None, input_feat_dim=6)
+        v = np.random.default_rng(1).standard_normal((3, 6)).astype(np.float32)
+        prepared = enc.prepare_patch_input(v, cfg)
+        assert prepared.shape == v.shape and np.shares_memory(prepared, v)
+        np.testing.assert_array_equal(prepared, v)
+        assert enc.lower_patches(v, cfg) is None
+        with pytest.raises(dc.GraphError, match=r"input shape \(7,\) != \(6,\)"):
+            enc.prepare_patch_input(np.zeros((3, 7), dtype=np.float32), cfg)
 
     def test_shape_mismatch_rejected(self):
         cfg = tiny_cfg()
