@@ -15,8 +15,9 @@ read_blob and read_json, which reject a missing file, a blob whose byte size
 differs from its declared shape, unparsable JSON, or JSON without a key its
 reader requires or with one that json_type_ok rejects, naming the file.
 config_from_json applies the same rule to settings and requires each one: a
-dataclass default fills none on read. NaN or Inf in any array and negative
-counts are rejected when a Slide is made, naming the field. Every indented
+dataclass default fills none on read. NaN or Inf in any array, negative
+counts, a slide_id that is no plain file name and a gene name holding a tab
+or line break are rejected when a Slide is made, naming the field. Every indented
 .json artifact is written by write_json, as strict JSON.
 """
 
@@ -42,6 +43,11 @@ PREPROCESS_TRANSFORM = {"target_sum": TARGET_LIBRARY_SIZE, "transform": "log1p"}
 
 class DataFormatError(ValueError):
     """Raised when a slide directory or configuration violates the format."""
+
+
+# A slide id names output files (per_gene_<slide_id>.tsv) and, like a gene name, fills .tsv cells.
+_TSV_BREAKS = frozenset("\t\r\n")
+_ID_BREAKS = _TSV_BREAKS | frozenset("/\\\0")
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +82,12 @@ class Slide:
         return self.patches if self.patches is not None else self.features
 
     def __post_init__(self):
+        if self.slide_id in ("", ".", "..") or not _ID_BREAKS.isdisjoint(self.slide_id):
+            raise DataFormatError(f"field slide_id={self.slide_id!r} must be a plain file name: not empty, '.' or "
+                                  "'..', and without /, \\, NUL, tab, CR or LF")
+        for i, name in enumerate(self.gene_names):
+            if not _TSV_BREAKS.isdisjoint(name):
+                raise DataFormatError(f"{self.slide_id}: field gene_names.{i}={name!r} holds a tab, CR or LF")
         if self.expression.ndim != 2 or self.expression.shape[0] < 1:
             raise DataFormatError(f"{self.slide_id}: expression must be [spot_num >= 1, gene_num]")
         n = self.spot_num

@@ -1,6 +1,7 @@
 """CLI behavior: reproducibility, exit codes, atomic outputs, ablation tables."""
 
 import dataclasses
+import importlib.util
 import json
 import re
 import shutil
@@ -896,6 +897,28 @@ class TestPreflight:
         assert f"{data / 'slide_001'} and {data / 'slide_001b'} both hold slide_id 'slide_001'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, field", [
+        ("slide_id", "../escaped", "field slide_id='../escaped'"),  # would name per_gene_../escaped.tsv
+        ("gene_names", "g\t1", "field gene_names.1='g\\t1'"),  # would shift a metrics.tsv row
+    ])
+    def test_name_that_breaks_an_output_rejected_before_the_first_fold_trains(self, pipeline, tmp_path, capsys,
+                                                                              monkeypatch, key, value, field):
+        root, cfg = pipeline
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        for path in data.glob("*/meta.json"):
+            meta = json.loads(path.read_text())
+            if key == "gene_names":
+                meta["gene_names"][1] = value
+            elif path.parent.name == "slide_000":
+                meta["slide_id"] = value
+            path.write_text(json.dumps(meta))
+        monkeypatch.setattr(cli.ev, "fit", lambda *a, **k: pytest.fail("a fold trained before the name was checked"))
+        out = tmp_path / "out"
+        assert main(["loocv", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_embed_refuses_data_without_every_training_slide(self, pipeline, tmp_path, capsys):
         root, cfg = pipeline
         ck = tmp_path / "ck"  # trained on both slides
@@ -1032,6 +1055,14 @@ class TestSchema:
             assert changed == names, f"{dotted} via {command}"
             for name in names:
                 assert after[name] == (tuple(value) if isinstance(value, list) else value)
+
+
+def test_pipeline_diff_runs_the_micro_config(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "tools" / "pipeline_diff.py"
+    spec = importlib.util.spec_from_file_location("pipeline_diff", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.MICRO_CONFIG == json.loads(micro_config(tmp_path).read_text())
 
 
 def test_readme_config_example_resolves(tmp_path):

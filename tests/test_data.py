@@ -129,6 +129,27 @@ class TestSlideFormat:
             )
 
 
+    @pytest.mark.parametrize("slide_id", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b", "a\tb", "a\rb", "a\nb"])
+    def test_slide_id_that_is_no_plain_file_name_rejected(self, slide_id):
+        slide = make_slide()
+        with pytest.raises(DataFormatError, match=f"field slide_id={re.escape(repr(slide_id))} must be"):
+            Slide(**{**vars(slide), "slide_id": slide_id})
+
+    @pytest.mark.parametrize("name", ["g\t1", "g\r1", "g\n1"])
+    def test_gene_name_that_breaks_a_tsv_row_rejected(self, tmp_path, name):
+        slide = make_slide()
+        save_slide(slide, tmp_path / "s")
+        meta = json.loads((tmp_path / "s" / "meta.json").read_text())
+        meta["gene_names"][1] = name
+        (tmp_path / "s" / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DataFormatError, match=f"s0: field gene_names.1={re.escape(repr(name))} holds"):
+            load_slide(tmp_path / "s")
+
+    def test_ids_and_names_with_other_punctuation_accepted(self):
+        slide = make_slide()
+        Slide(**{**vars(slide), "slide_id": "..a b-c.d", "gene_names": [f"g {i}/x\\y" for i in range(8)]})
+
+
 class TestPreprocess:
     def test_normalization_arithmetic(self):
         # counts [1,1,2] -> scaled to 1e4 -> log1p, oracle by direct arithmetic

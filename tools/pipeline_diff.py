@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Run the micro-config pipeline on a revision's src/ and on the working tree's, and diff what each wrote.
+
+    python tools/pipeline_diff.py REV
+
+REV is any git revision, e.g. HEAD~1. Each side runs every stexp command once, with one BLAS thread, from the
+same config and seed: gen-data, train --holdout slide_001, embed, predict, eval, loocv, ablate (all three
+toggles and --k-sweep 1,5) and grad-check --out. The script prints `diff -r` of the two output trees and the
+diff of the commands' stdout, and exits 0 only when both are identical.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SEED = "7"
+# tests/test_cli.py's micro_config
+MICRO_CONFIG = {
+    "data": {"slides": 2, "spots_per_slide": 24, "gene_num": 24, "domains": 3,
+             "patch": [3, 8, 8], "hvg_num": 8},
+    "encoder": {"d_embed": 16, "n_heads": 2, "conv_channels": [6], "proj_hidden": 16},
+    "train": {"batch_size": 8, "epochs": 3, "temperature": 0.1, "learning_rate": 2e-3},
+    "inference": {"k": 5},
+}
+COMMANDS = [
+    ["gen-data", "--out", "data"],
+    ["train", "--data", "data", "--holdout", "slide_001", "--out", "ck"],
+    ["embed", "--checkpoint", "ck", "--data", "data", "--out", "idx"],
+    ["predict", "--checkpoint", "ck", "--index", "idx", "--slide", "data/slide_001", "--out", "pred"],
+    ["eval", "--pred", "pred", "--slide", "data/slide_001", "--checkpoint", "ck", "--out", "ev"],
+    ["loocv", "--data", "data", "--out", "cv"],
+    ["ablate", "--data", "data", "--toggles", "no_positional_encoding,no_mhsa,no_image_path",
+     "--k-sweep", "1,5", "--out", "ab"],
+]
+
+
+def run_pipeline(src: Path, side: Path) -> None:
+    """Every command against `src`, its outputs under side/out and their stdout in side/stdout.txt."""
+    out = side / "out"
+    out.mkdir(parents=True)
+    (out / "config.json").write_text(json.dumps(MICRO_CONFIG))
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    argvs = [[*cmd[:1], "--config", "config.json", "--seed", SEED, *cmd[1:]] for cmd in COMMANDS]
+    argvs.append(["grad-check", "--seed", SEED, "--out", "gc"])
+    log = []
+    for argv in argvs:
+        done = subprocess.run([sys.executable, "-m", "stexp.cli", *argv], cwd=out, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        log.append(f"$ stexp {' '.join(argv)}\n{done.stdout}exit {done.returncode}\n")
+    (side / "stdout.txt").write_text("".join(log))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="pipeline-diff-") as tmp:
+        tmp = Path(tmp)
+        (tmp / "rev").mkdir()
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", argv[0], "src"], stdout=subprocess.PIPE)
+        if archive.returncode != 0:
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(tmp / "rev")], input=archive.stdout, check=True)
+        run_pipeline(tmp / "rev" / "src", tmp / "a")
+        run_pipeline(REPO / "src", tmp / "b")
+        identical = True
+        print(f"a/ is {argv[0]}, b/ the working tree")
+        for what in ("out", "stdout.txt"):
+            diff = subprocess.run(["diff", "-r", f"a/{what}", f"b/{what}"], cwd=tmp, stdout=subprocess.PIPE, text=True)
+            print(diff.stdout, end="")
+            identical &= diff.returncode == 0
+    print("identical" if identical else "outputs differ")
+    return 0 if identical else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
