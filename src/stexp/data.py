@@ -17,8 +17,8 @@ reader requires or with one that json_type_ok rejects, naming the file.
 config_from_json applies the same rule to settings and requires each one: a
 dataclass default fills none on read. NaN or Inf in any array, negative
 counts, a slide_id that is no plain file name and a gene name holding a tab
-or line break are rejected when a Slide is made, naming the field. Every indented
-.json artifact is written by write_json, as strict JSON.
+or line break are rejected when a Slide is made, naming the field. Every
+indented .json artifact is written by write_json, as strict JSON.
 """
 
 from __future__ import annotations
