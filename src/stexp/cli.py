@@ -302,20 +302,11 @@ def cmd_predict(args, config) -> int:
     index = inference.load_index(args.index)
     raw = load_slide(args.slide)
     slide = transform_slide(raw, checkpoint.preprocess)
-    k = config["inference"]["k"]
-    pred = inference.predict_slide(checkpoint, index, slide, k)
+    pred = inference.predict_slide(checkpoint, index, slide, config["inference"]["k"])
     with atomic_out_dir(args.out, config) as staging:
         pred.astype("<f4").tofile(staging / "expression.f32")
-        meta = {
-            "slide_id": slide.slide_id,
-            "spot_num": slide.spot_num,
-            "gene_num": pred.shape[1],
-            "gene_names": slide.gene_names,
-            "coord_max": slide.coord_max,
-            "predicted": True,
-            "k": k,
-        }
-        write_json(staging / "meta.json", meta)
+        write_json(staging / "meta.json",
+                   {"slide_id": slide.slide_id, "spot_num": slide.spot_num, "gene_names": slide.gene_names})
     print(f"predicted {slide.spot_num} spots x {pred.shape[1]} genes at {args.out}")
     return 0
 
@@ -328,8 +319,8 @@ def cmd_eval(args, config) -> int:
         raise ValidationError(f"config key eval.pca_components={e['pca_components']} must be at least 1")
     checkpoint = load_checkpoint(args.checkpoint)
     meta = read_json(Path(args.pred) / "meta.json",
-                     required={"slide_id": str, "spot_num": int, "gene_num": int, "gene_names": tuple[str, ...]})
-    pred = read_blob(Path(args.pred) / "expression.f32", "<f4", (meta["spot_num"], meta["gene_num"]))
+                     required={"slide_id": str, "spot_num": int, "gene_names": tuple[str, ...]})
+    pred = read_blob(Path(args.pred) / "expression.f32", "<f4", (meta["spot_num"], len(meta["gene_names"])))
     raw = load_slide(args.slide)
     slide = transform_slide(raw, checkpoint.preprocess)
     for key in ("slide_id", "gene_names"):

@@ -382,9 +382,8 @@ def preprocess(slides: list[Slide], hvg_num: int, train_ids: list[str]) -> Proce
     if not 1 <= hvg_num <= gene_num:
         raise DataFormatError(f"preprocess: hvg_num={hvg_num} outside [1, gene_num={gene_num}]")
 
-    keep = {s.slide_id: kept_spots(s) for s in slides}
     by_id = {s.slide_id: s for s in slides}
-    variances = np.concatenate([_normalize(by_id[t].expression[keep[t]]) for t in train_ids], axis=0).var(axis=0)
+    variances = np.concatenate([_normalize(by_id[t].expression[kept_spots(by_id[t])]) for t in train_ids]).var(axis=0)
     hvg = np.lexsort((np.arange(gene_num), -variances))[:hvg_num]
 
     manifest = {
@@ -392,7 +391,6 @@ def preprocess(slides: list[Slide], hvg_num: int, train_ids: list[str]) -> Proce
         "hvg_indices": [int(i) for i in hvg],
         "hvg_gene_names": [slides[0].gene_names[i] for i in hvg],
         "train_ids": list(train_ids),
-        "dropped_spots": {sid: np.flatnonzero(~mask).tolist() for sid, mask in keep.items() if not mask.all()},
     }
     out_slides = [transform_slide(s, manifest) for s in slides]
     return ProcessedDataset(slides=out_slides, gene_names=out_slides[0].gene_names, manifest=manifest)

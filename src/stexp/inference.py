@@ -14,7 +14,7 @@ import mmap
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -155,19 +155,17 @@ class CosineBound:
 class RetrievalIndex:
     embeddings: np.ndarray  # [N_ref, d_embed], unit-norm float32 rows (other float types are cast)
     expressions: np.ndarray  # [N_ref, hvg_num]
-    provenance: list[tuple[str, int]]  # (slide_id, spot index) per row
-    slide_ids: frozenset[str] = field(init=False, repr=False)  # for the leakage check
+    provenance: list[tuple[str, int]]  # (slide_id, row count) per slide, in row order
 
     def __post_init__(self):
         self.embeddings = np.asarray(self.embeddings, dtype=np.float32)  # the scan ranks float32 bit patterns
         if self.embeddings.shape[0] != self.expressions.shape[0]:
             raise ValueError("RetrievalIndex: embeddings/expressions row counts differ")
-        if len(self.provenance) != self.embeddings.shape[0]:
-            raise ValueError("RetrievalIndex: provenance length mismatch")
+        if sum(count for _, count in self.provenance) != self.embeddings.shape[0]:
+            raise ValueError("RetrievalIndex: provenance row counts do not sum to the row count")
         if not self.embeddings.shape[0]:  # no k fits, and the cosine bound's table needs a row
             raise ValueError("RetrievalIndex: no rows")
         _check_unit_rows(self.embeddings, "RetrievalIndex: embeddings")
-        self.slide_ids = frozenset(sid for sid, _ in self.provenance)
 
     @property
     def size(self) -> int:
@@ -224,17 +222,10 @@ def build_index(checkpoint: Checkpoint, training_slides: list[Slide]) -> Retriev
     for s in training_slides:
         if s.gene_num != cfg.hvg_num:
             raise ValueError(f"build_index: {s.slide_id} has {s.gene_num} genes, checkpoint expects {cfg.hvg_num}")
-    embeddings = []
-    expressions = []
-    provenance: list[tuple[str, int]] = []
-    for slide in training_slides:
-        embeddings.append(encode_slide_spots(slide, checkpoint))
-        expressions.append(slide.expression)
-        provenance.extend((slide.slide_id, i) for i in range(slide.spot_num))
     return RetrievalIndex(
-        embeddings=np.concatenate(embeddings, axis=0),
-        expressions=np.concatenate(expressions, axis=0).astype(np.float32),
-        provenance=provenance,
+        embeddings=np.concatenate([encode_slide_spots(s, checkpoint) for s in training_slides], axis=0),
+        expressions=np.concatenate([s.expression for s in training_slides], axis=0).astype(np.float32),
+        provenance=[(s.slide_id, s.spot_num) for s in training_slides],
     )
 
 
@@ -461,7 +452,7 @@ def aggregate_rows(index: RetrievalIndex, rows: np.ndarray, dists: np.ndarray) -
 
 def predict_slide(checkpoint: Checkpoint, index: RetrievalIndex, test_slide: Slide, k: int) -> np.ndarray:
     """Predict every spot of a held-out slide by embed -> search -> aggregate."""
-    if test_slide.slide_id in index.slide_ids:
+    if any(slide_id == test_slide.slide_id for slide_id, _ in index.provenance):
         raise LeakageError(f"predict_slide: {test_slide.slide_id} is present in the reference index")
     _check_k(index, k, "predict_slide")
     d_embed = checkpoint.encoder_config.d_embed
@@ -482,38 +473,36 @@ def save_index(index: RetrievalIndex, directory: str | Path) -> None:
     index.embeddings.astype("<f4").tofile(directory / "embeddings.f32")
     index.expressions.astype("<f4").tofile(directory / "expressions.f32")
     meta = {
-        "rows": index.size,
         "d_embed": index.embeddings.shape[1],
         "hvg_num": index.expressions.shape[1],
-        "entries": [[sid, i] for sid, i in index.provenance],
+        "slides": [[slide_id, count] for slide_id, count in index.provenance],
     }
     (directory / "provenance.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
 
 
 def load_index(directory: str | Path) -> RetrievalIndex:
-    directory = Path(directory)
-    meta = read_json(directory / "provenance.json",
-                     required={"rows": int, "d_embed": int, "hvg_num": int, "entries": list})
-    n, d, g = meta["rows"], meta["d_embed"], meta["hvg_num"]
-    if len(meta["entries"]) != n:
-        raise ValueError(f"{directory / 'provenance.json'} lists {len(meta['entries'])} entries for {n} rows")
+    """An index as save_index wrote it; its row count is the sum of the slides' counts, which both blobs must hold."""
+    path = Path(directory) / "provenance.json"
+    meta = read_json(path, required={"d_embed": int, "hvg_num": int, "slides": list})
+    provenance = _provenance(meta["slides"], path)
+    n, d, g = sum(count for _, count in provenance), meta["d_embed"], meta["hvg_num"]
     index = RetrievalIndex(
-        embeddings=read_blob(directory / "embeddings.f32", "<f4", (n, d)),
-        expressions=read_blob(directory / "expressions.f32", "<f4", (n, g)),
-        provenance=_provenance(meta["entries"], directory / "provenance.json"),
+        embeddings=read_blob(path.parent / "embeddings.f32", "<f4", (n, d)),
+        expressions=read_blob(path.parent / "expressions.f32", "<f4", (n, g)),
+        provenance=provenance,
     )
     index.bound  # derived while loading, so no search of a loaded index pays for it
     return index
 
 
-def _provenance(entries: list, path: Path) -> list[tuple[str, int]]:
-    """The (slide id, spot index) tuples of `entries`; the first entry that is no such pair is a DataFormatError.
+def _provenance(slides: list, path: Path) -> list[tuple[str, int]]:
+    """The (slide id, row count) tuples of `slides`; the first item that is no such pair is a DataFormatError.
 
-    A pair is a list of a string, then an int (no bool) of at least 0.
+    A pair is a list of a string, then an int (no bool) of at least 1.
     """
-    ok = [type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is int and e[1] >= 0 for e in entries]
+    ok = [type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is int and e[1] >= 1 for e in slides]
     if not all(ok):
         i = ok.index(False)
-        raise DataFormatError(f"{path}: field entries.{i} is {json.dumps(entries[i])}, "
-                              "expected a [slide id, spot index >= 0] pair")
-    return [(e[0], e[1]) for e in entries]
+        raise DataFormatError(f"{path}: field slides.{i} is {json.dumps(slides[i])}, "
+                              "expected a [slide id, row count >= 1] pair")
+    return [(e[0], e[1]) for e in slides]

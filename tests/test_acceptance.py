@@ -158,7 +158,7 @@ def test_criterion_05_aggregation_arithmetic(small_trained):
     tiny = RetrievalIndex(
         embeddings=np.eye(2, dtype=np.float32),
         expressions=np.array([[10.0], [20.0]], dtype=np.float32),
-        provenance=[("r", 0), ("r", 1)],
+        provenance=[("r", 2)],
     )
     ok &= aggregate_rows(tiny, np.array([[0, 1]]), np.array([[1.0, 2.0]]))[0, 0] == 12.0
 

@@ -311,15 +311,24 @@ def _set(dotted: str, value):
     return edit
 
 
-def _provenance_entry(i: int, entry):
-    """Replace entry i of an index's provenance.json."""
+def _provenance_slide(i: int, pair):
+    """Replace pair i of an index's provenance.json."""
     def edit(path: Path) -> None:
         meta = json.loads(path.read_text())
-        meta["entries"][i] = entry
+        meta["slides"][i] = pair
         path.write_text(json.dumps(meta))
 
-    edit.__name__ = f"entries.{i}={json.dumps(entry)}"
+    edit.__name__ = f"slides.{i}={json.dumps(pair)}"
     return edit
+
+
+def _earlier_row_map(path: Path) -> None:
+    """Rewrite an index's provenance.json in the format before the per-slide counts: a row count and one
+    [slide id, spot index] entry per row."""
+    meta = json.loads(path.read_text())
+    meta["entries"] = [[slide_id, i] for slide_id, count in meta.pop("slides") for i in range(count)]
+    meta["rows"] = len(meta["entries"])
+    path.write_text(json.dumps(meta))
 
 
 def _parent_format(path: Path) -> None:
@@ -390,14 +399,14 @@ ARTIFACT_CORRUPTIONS = [
     ("pred/expression.f32", _truncate),
     ("ck/manifest.json", _cut_in_half),
     ("ck/manifest.json", _without("preprocess")),
-    ("idx/provenance.json", _without("entries")),
-    ("idx/provenance.json", _set("rows", 24.0)),
-    # each entry is a [slide id, spot index >= 0] pair
-    *(("idx/provenance.json", _provenance_entry(3, entry)) for entry in (
-        ["slide_000", 2.7], ["slide_000", "3"], [7, 3], ["slide_000", -1], ["slide_000", True], 5, ["slide_000"])),
+    ("idx/provenance.json", _without("slides")),
+    ("idx/provenance.json", _set("hvg_num", 8.0)),
+    # each of slides is a [slide id, row count >= 1] pair; the index holds slide_000's 24 spots
+    *(("idx/provenance.json", _provenance_slide(0, pair)) for pair in (
+        ["slide_000", 0], ["slide_000", 2.5], [7, 24], ["slide_000", True], 5, ["slide_000"])),
     ("pred/meta.json", _without("slide_id")),
     ("pred/meta.json", _set("spot_num", "24")),
-    ("pred/meta.json", _set("gene_num", 8.0)),
+    ("pred/meta.json", _set("gene_names", [0, 1])),
     *(("ck/manifest.json", corrupt) for corrupt, _ in CHECKPOINT_FIELD_CORRUPTIONS),
 ]
 # the artifact directories each command reads
@@ -432,6 +441,36 @@ class TestArtifactCorruption:
         assert str(tmp_path / artifact) in capsys.readouterr().err
         assert not out.exists()
         assert not list(tmp_path.glob(".tmp-*"))
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_earlier_row_map, "idx/provenance.json: missing key 'slides'"),
+        (_provenance_slide(0, ["slide_000", 23]), "idx/embeddings.f32 is 1536 bytes, but [23, 16] float32 needs 1472"),
+    ], ids=["earlier-row-map", "count-one-short"])
+    def test_index_row_map_error_names_the_file_and_field(self, pipeline, tmp_path, capsys, corrupt, message):
+        root, cfg = pipeline
+        for name in ("ck", "idx"):
+            shutil.copytree(root / name, tmp_path / name)
+        corrupt(tmp_path / "idx" / "provenance.json")
+        out = tmp_path / "out"
+        assert main(["predict", "--config", str(cfg), *command_args("predict", tmp_path, root / "data"),
+                     "--out", str(out)]) == 1
+        assert f"{tmp_path}/{message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, artifact", [("predict", "idx/provenance.json"), ("eval", "pred/meta.json")])
+    def test_every_written_key_is_read(self, pipeline, tmp_path, capsys, command, artifact):
+        # a key that is written but never read would be a second copy of a fact, free to disagree with the first
+        root, cfg = pipeline
+        for name in ("ck", "idx", "pred"):
+            shutil.copytree(root / name, tmp_path / name)
+        written = json.loads((root / artifact).read_text())
+        for key in written:
+            (tmp_path / artifact).write_text(json.dumps({k: v for k, v in written.items() if k != key}))
+            out = tmp_path / f"out-{key}"
+            assert main([command, "--config", str(cfg), *command_args(command, tmp_path, root / "data"),
+                         "--out", str(out)]) == 1, key
+            assert f"{tmp_path / artifact}: missing key '{key}'" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("corrupt, field", CHECKPOINT_FIELD_CORRUPTIONS,
                              ids=[corrupt.__name__ for corrupt, _ in CHECKPOINT_FIELD_CORRUPTIONS])

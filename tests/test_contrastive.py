@@ -33,7 +33,7 @@ def random_unit_rows(n, d, seed=0):
 def cosine_matrix(h_a, h_b):
     """Every row of h_a against every row of h_b, by retrieval: h_b is the index, h_a the queries."""
     index = RetrievalIndex(embeddings=h_b, expressions=np.zeros((len(h_b), 1)),
-                           provenance=[("ref", i) for i in range(len(h_b))])
+                           provenance=[("ref", len(h_b))])
     rows, cosines, _ = search(index, h_a, len(h_b))
     sim = np.empty((len(h_a), len(h_b)))
     np.put_along_axis(sim, rows, cosines, axis=1)
@@ -296,14 +296,20 @@ class TestCheckpointRoundTrip:
         for file in ("manifest.json", "params.f32"):
             assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "b" / file).read_bytes(), file
 
-    def test_every_manifest_key_is_read(self, tmp_path):
+    def test_every_manifest_key_is_read(self, tiny_processed, tmp_path):
         # a key that is written but never read would be a second copy of a fact, free to disagree with the first
-        save_checkpoint(_tiny_checkpoint(TINY_ENC), tmp_path / "ck")
+        ckpt = dataclasses.replace(_tiny_checkpoint(TINY_ENC), preprocess=tiny_processed.manifest)
+        save_checkpoint(ckpt, tmp_path / "ck")
         path = tmp_path / "ck" / "manifest.json"
         written = json.loads(path.read_text())
         for key in written:
             path.write_text(json.dumps({k: v for k, v in written.items() if k != key}))
             with pytest.raises(ValueError, match=f"{path}: missing key '{key}'"):
+                load_checkpoint(tmp_path / "ck")
+        for key in written["preprocess"]:  # the preprocessing manifest as preprocess writes it
+            section = {k: v for k, v in written["preprocess"].items() if k != key}
+            path.write_text(json.dumps({**written, "preprocess": section}))
+            with pytest.raises(ValueError, match=f"{path}: missing key preprocess.{key}"):
                 load_checkpoint(tmp_path / "ck")
 
     def test_history_survives_round_trip(self, tiny_processed, tmp_path):

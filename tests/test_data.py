@@ -14,6 +14,7 @@ from stexp.data import (
     GenConfig,
     Slide,
     batch_sampler,
+    kept_spots,
     load_dataset,
     load_slide,
     preprocess,
@@ -188,12 +189,13 @@ class TestPreprocess:
         ds2 = preprocess([train, test_b], hvg_num=6, train_ids=[train.slide_id])
         np.testing.assert_array_equal(ds1.manifest["hvg_indices"], ds2.manifest["hvg_indices"])
 
-    def test_zero_count_spot_dropped_and_recorded(self):
+    def test_zero_count_spot_dropped(self):
         slide = make_slide(spots=8, genes=4)
         slide.expression[3] = 0.0
         ds = preprocess([slide], hvg_num=4, train_ids=[slide.slide_id])
         assert ds.slides[0].spot_num == 7
-        assert ds.manifest["dropped_spots"] == {slide.slide_id: [3]}
+        np.testing.assert_array_equal(np.flatnonzero(~kept_spots(slide)), [3])
+        assert "dropped_spots" not in ds.manifest  # it follows from the slide through kept_spots
         # patches stay aligned with kept expression rows
         np.testing.assert_array_equal(ds.slides[0].patches[3], slide.patches[4])
 

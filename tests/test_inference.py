@@ -32,7 +32,7 @@ def make_index(n=20, d=8, g=5, seed=0):
     return RetrievalIndex(
         embeddings=unit_rows(n, d, seed),
         expressions=rng.uniform(0, 10, (n, g)).astype(np.float32),
-        provenance=[("ref", i) for i in range(n)],
+        provenance=[("ref", n)],
     )
 
 
@@ -92,6 +92,12 @@ class TestBuildIndex:
         ckpt, ds = trained
         index = build_index(ckpt, ds.train_slides())
         assert index.size == sum(s.spot_num for s in ds.train_slides())
+        assert index.provenance == [(s.slide_id, s.spot_num) for s in ds.train_slides()]
+
+    def test_counts_that_miss_the_row_count_rejected(self):
+        index = make_index()
+        with pytest.raises(ValueError, match="provenance row counts do not sum to the row count"):
+            RetrievalIndex(embeddings=index.embeddings, expressions=index.expressions, provenance=[("ref", 19)])
 
     def test_self_query_returns_own_row(self, trained):
         ckpt, ds = trained
@@ -154,7 +160,7 @@ class TestQueryTopk:
         index = RetrievalIndex(
             embeddings=emb,
             expressions=np.arange(8, dtype=np.float32).reshape(4, 2),
-            provenance=[("r", i) for i in range(4)],
+            provenance=[("r", 4)],
         )
         got = search_one(index, emb[0], 3)[0].tolist()
         assert got == [0, 1, 2]
@@ -186,7 +192,7 @@ class TestAggregate:
         index = RetrievalIndex(
             embeddings=unit_rows(2, 4, 1),
             expressions=np.array([[10.0], [20.0]], dtype=np.float32),
-            provenance=[("r", 0), ("r", 1)],
+            provenance=[("r", 2)],
         )
         out = aggregate_one(index, [0, 1], [1.0, 2.0])
         assert out[0] == pytest.approx(12.0, abs=1e-12)
@@ -296,7 +302,7 @@ class TestBatchedSearch:
         index = RetrievalIndex(
             embeddings=np.eye(4, dtype=np.float32)[axes],
             expressions=np.arange(24, dtype=np.float32).reshape(12, 2),
-            provenance=[("r", i) for i in range(12)],
+            provenance=[("r", 12)],
         )
         queries = np.eye(4, dtype=np.float32)[[0, 1, 2, 3, 0]]
         blocks_of(monkeypatch, index, 2)
@@ -336,7 +342,7 @@ def exact_index(vectors):
     return RetrievalIndex(
         embeddings=emb,
         expressions=np.arange(2 * len(emb), dtype=np.float32).reshape(-1, 2),
-        provenance=[("r", i) for i in range(len(emb))],
+        provenance=[("r", len(emb))],
     )
 
 
@@ -590,23 +596,40 @@ class TestIndexPersistence:
         with pytest.raises(ValueError, match=blob):
             load_index(tmp_path / "idx")
 
-    def test_missing_provenance_entry_rejected(self, tmp_path):
+    def test_count_one_short_names_the_blob(self, tmp_path):
         save_index(make_index(), tmp_path / "idx")
         path = tmp_path / "idx" / "provenance.json"
         meta = json.loads(path.read_text())
-        meta["entries"].pop()
+        meta["slides"][0][1] -= 1
         path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match="provenance.json lists 19 entries for 20 rows"):
+        with pytest.raises(DataFormatError, match=r"embeddings\.f32 is 640 bytes, but \[19, 8\] float32 needs 608"):
             load_index(tmp_path / "idx")
 
     def test_index_without_rows_refused(self, tmp_path):
         save_index(make_index(), tmp_path / "idx")
         path = tmp_path / "idx" / "provenance.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()), "rows": 0, "entries": []}))
+        path.write_text(json.dumps({**json.loads(path.read_text()), "slides": []}))
         for blob in ("embeddings.f32", "expressions.f32"):
             (tmp_path / "idx" / blob).write_bytes(b"")
         with pytest.raises(ValueError, match="RetrievalIndex: no rows"):
             load_index(tmp_path / "idx")
+
+    def test_earlier_row_map_refused_naming_slides(self, tmp_path):
+        # provenance.json as written before the per-slide counts: one [slide id, spot index] entry per row
+        save_index(make_index(), tmp_path / "idx")
+        path = tmp_path / "idx" / "provenance.json"
+        path.write_text(json.dumps({"d_embed": 8, "entries": [["ref", i] for i in range(20)], "hvg_num": 5,
+                                    "rows": 20}))
+        with pytest.raises(DataFormatError, match=r"provenance\.json: missing key 'slides'"):
+            load_index(tmp_path / "idx")
+
+    def test_row_map_does_not_grow_with_rows(self, tmp_path):
+        # 25 slides of 4,096 rows, the size of the benchmark's reference index
+        emb = np.zeros((25 * 4096, 2), dtype=np.float32)
+        emb[:, 0] = 1.0
+        save_index(RetrievalIndex(embeddings=emb, expressions=np.zeros((len(emb), 1), dtype=np.float32),
+                                  provenance=[(f"ref_{i:03d}", 4096) for i in range(25)]), tmp_path / "idx")
+        assert (tmp_path / "idx" / "provenance.json").stat().st_size <= 1024
 
 
 class TestSelection:
@@ -653,25 +676,28 @@ class TestSelection:
         np.testing.assert_array_equal(rows, brute_force(index, queries, k))
 
 
-class TestProvenanceEntries:
-    @pytest.mark.parametrize("entry", [["ref", 2.7], ["ref", "3"], [7, 1], ["ref", -1], ["ref", True], 5, ["ref"],
-                                       ["ref", 3, 0], None, {"ref": 3}],
-                             ids=["float", "str-index", "int-id", "negative", "bool", "bare-int", "one-item",
-                                  "three-items", "null", "object"])
-    def test_malformed_entry_named(self, tmp_path, entry):
-        save_index(make_index(), tmp_path / "idx")
+class TestProvenanceSlides:
+    FOUR_SLIDES = [("a", 5), ("b", 5), ("c", 5), ("d", 5)]
+
+    @pytest.mark.parametrize("pair", [["d", 0], ["d", -1], ["d", 2.5], ["d", "5"], [7, 5], ["d", True], 5, ["d"],
+                                      ["d", 5, 0], None, {"d": 5}],
+                             ids=["zero", "negative", "float", "str-count", "int-id", "bool", "bare-int",
+                                  "one-item", "three-items", "null", "object"])
+    def test_malformed_pair_named(self, tmp_path, pair):
+        index = make_index()
+        save_index(RetrievalIndex(index.embeddings, index.expressions, self.FOUR_SLIDES), tmp_path / "idx")
         path = tmp_path / "idx" / "provenance.json"
         meta = json.loads(path.read_text())
-        meta["entries"][3] = entry
+        meta["slides"][3] = pair
         path.write_text(json.dumps(meta))
-        with pytest.raises(DataFormatError, match=r"provenance\.json: field entries\.3 is "):
+        with pytest.raises(DataFormatError, match=r"provenance\.json: field slides\.3 is "):
             load_index(tmp_path / "idx")
 
     def test_pairs_load_as_tuples(self, tmp_path):
-        index = RetrievalIndex(embeddings=unit_rows(3, 8), expressions=np.zeros((3, 1), dtype=np.float32),
-                               provenance=[("a", 0), ("b", 2**40), ("", 5)])
+        index = RetrievalIndex(embeddings=unit_rows(8, 8), expressions=np.zeros((8, 1), dtype=np.float32),
+                               provenance=[("a", 3), ("", 1), ("a", 4)])
         save_index(index, tmp_path / "idx")
-        assert load_index(tmp_path / "idx").provenance == [("a", 0), ("b", 2**40), ("", 5)]
+        assert load_index(tmp_path / "idx").provenance == [("a", 3), ("", 1), ("a", 4)]
 
 
 def low_rank_rows(n, d, rank, noise, seed):
@@ -743,7 +769,7 @@ class TestTwoStageScan:
         """A low-rank index, and queries near 4 of its rows: each keeps few rows, so the bound prunes."""
         emb = low_rank_rows(self.N, self.D, rank=6, noise=0.02, seed=31)
         index = RetrievalIndex(embeddings=emb, expressions=np.zeros((self.N, 1), dtype=np.float32),
-                               provenance=[("r", i) for i in range(self.N)])
+                               provenance=[("r", self.N)])
         queries = np.repeat(emb[[5, 900, 2000, 3000]], self.M // 4, axis=0)
         queries += 0.01 * np.random.default_rng(32).standard_normal(queries.shape).astype(np.float32)
         return index, queries
@@ -791,7 +817,7 @@ class TestTwoStageScan:
         rows = np.repeat(np.eye(self.D, dtype=np.float32)[:8], self.N // 8, axis=0) * np.float32(longest)
         rows[1::2] *= -1
         index = RetrievalIndex(embeddings=rows, expressions=np.zeros((self.N, 1), dtype=np.float32),
-                               provenance=[("r", i) for i in range(self.N)])
+                               provenance=[("r", self.N)])
         assert np.abs(index.bound.table[:, :8]).max() == round(inference.BOUND_SCALE * longest)
         assert index.bound.table.max() < np.iinfo(np.int16).max
         queries = rows[:: self.N // self.M] + np.float32(0.01)
@@ -804,7 +830,7 @@ class TestTwoStageScan:
         emb = rng.standard_normal((self.N, 8)) @ basis.T
         emb = (emb / np.linalg.norm(emb, axis=1, keepdims=True)).astype(np.float32)
         index = RetrievalIndex(embeddings=emb, expressions=np.zeros((self.N, 1), dtype=np.float32),
-                               provenance=[("r", i) for i in range(self.N)])
+                               provenance=[("r", self.N)])
         queries = emb[rng.integers(0, self.N, self.M)] * np.float32(0.75)  # margins scale with |q|
         side, margins = index.bound.query_side(queries)
         scores = tile_scores(emb, np.ascontiguousarray(queries.T), self.BLOCK).astype(np.float64)
