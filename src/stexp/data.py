@@ -27,6 +27,7 @@ import functools
 import json
 import logging
 import math
+import reprlib
 import types
 import typing
 from dataclasses import asdict, dataclass, field, replace
@@ -146,9 +147,15 @@ def json_type_ok(value, hint) -> bool:
     return isinstance(value, hint)  # str, bool, list, dict or NoneType
 
 
+# Shortens a value an error message shows to about 100 characters: a manifest section can run to kilobytes.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel, _SHORT.maxdict, _SHORT.maxlist = 1, 2, 4
+_SHORT.maxstring = _SHORT.maxother = _SHORT.maxlong = 20
+
+
 def type_mismatch(what: str, value, hint) -> str:
     """The message for a JSON `value` of `what` that json_type_ok finds does not fit the annotation `hint`."""
-    return f"{what} expects {hint.__name__ if isinstance(hint, type) else hint}, got {value!r}"
+    return f"{what} expects {hint.__name__ if isinstance(hint, type) else hint}, got {_SHORT.repr(value)}"
 
 
 field_hints = functools.cache(typing.get_type_hints)  # {field: annotation} of a dataclass; resolving is slow

@@ -455,9 +455,12 @@ def predict_slide(checkpoint: Checkpoint, index: RetrievalIndex, test_slide: Sli
     if any(slide_id == test_slide.slide_id for slide_id, _ in index.provenance):
         raise LeakageError(f"predict_slide: {test_slide.slide_id} is present in the reference index")
     _check_k(index, k, "predict_slide")
-    d_embed = checkpoint.encoder_config.d_embed
-    if d_embed != index.embeddings.shape[1]:
-        raise ValueError(f"predict_slide: checkpoint d_embed={d_embed} != index dim {index.embeddings.shape[1]}")
+    cfg = checkpoint.encoder_config
+    if cfg.d_embed != index.embeddings.shape[1]:
+        raise ValueError(f"predict_slide: checkpoint d_embed={cfg.d_embed} != index dim {index.embeddings.shape[1]}")
+    if cfg.hvg_num != index.expressions.shape[1]:  # the prediction's columns are the checkpoint's genes
+        raise ValueError(f"predict_slide: checkpoint hvg_num={cfg.hvg_num} != index expression width "
+                         f"{index.expressions.shape[1]}")
     rows, _, dists = search(index, encode_slide_patches(test_slide, checkpoint), k)
     return aggregate_rows(index, rows, dists)
 

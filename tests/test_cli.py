@@ -442,6 +442,18 @@ class TestArtifactCorruption:
         assert not out.exists()
         assert not list(tmp_path.glob(".tmp-*"))
 
+    def test_index_of_another_gene_count_names_both_widths(self, pipeline, tmp_path, capsys):
+        # the index is of the pipeline's 8-gene checkpoint; this checkpoint keeps 16 genes
+        root, cfg = pipeline
+        assert main(["train", "--config", str(cfg), "--seed", "7", "--set", "data.hvg_num=16",
+                     "--data", str(root / "data"), "--holdout", "slide_001", "--out", str(tmp_path / "ck")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["predict", "--config", str(cfg), "--checkpoint", str(tmp_path / "ck"), "--index",
+                     str(root / "idx"), "--slide", str(root / "data" / "slide_001"), "--out", str(out)]) == 1
+        assert "checkpoint hvg_num=16 != index expression width 8" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("corrupt, message", [
         (_earlier_row_map, "idx/provenance.json: missing key 'slides'"),
         (_provenance_slide(0, ["slide_000", 23]), "idx/embeddings.f32 is 1536 bytes, but [23, 16] float32 needs 1472"),
@@ -488,6 +500,7 @@ class TestArtifactCorruption:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"{tmp_path / 'ck' / 'manifest.json'}: " in err and field in err, err
+        assert len(err.replace(str(tmp_path), "").encode()) < 200, err  # the offending value is shortened
         assert not out.exists()
 
     @pytest.mark.parametrize("command, slide_id", [("embed", "slide_000"), ("predict", "slide_001"),

@@ -22,6 +22,7 @@ from stexp.data import (
     save_slide,
     synth_generate,
     transform_slide,
+    type_mismatch,
 )
 
 import conftest
@@ -370,6 +371,16 @@ def test_read_json_names_the_file_and_a_missing_required_key(tmp_path):
     path.write_text("[]")  # parses, but holds no object to look a key up in
     with pytest.raises(DataFormatError, match="missing key 'rows'"):
         read_json(path, required={"rows": int})
+
+
+def test_type_mismatch_shortens_the_value():
+    # a parameter layout of the earlier checkpoint format: 19 entries, 1,473 bytes as JSON
+    layout = {"dtype": "<f4", "total_bytes": 4096,
+              "entries": [{"name": f"layer{i}.weight", "shape": [8, 4], "offset": 128 * i, "nbytes": 128}
+                          for i in range(19)]}
+    message = type_mismatch("field params", layout, list)
+    assert message.startswith("field params expects list, got {") and len(message) <= 100, message
+    assert type_mismatch("field d_embed", "16", int) == "field d_embed expects int, got '16'"
 
 
 def test_checkpoint_settings_are_parsed_once_when_it_loads():

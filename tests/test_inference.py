@@ -284,6 +284,14 @@ class TestPredictSlide:
         with pytest.raises(ValueError, match="d_embed=32"):
             predict_slide(ckpt, make_index(n=20, d=8), ds.test_slides()[0], k=3)
 
+    def test_index_of_another_gene_count_rejected(self, trained, no_encoding):
+        # its rows would fill the prediction's columns with expressions of other genes than the checkpoint's
+        ckpt, ds = trained
+        index = build_index(ckpt, ds.train_slides())
+        narrower = RetrievalIndex(index.embeddings, index.expressions[:, :8], index.provenance)
+        with pytest.raises(ValueError, match="checkpoint hvg_num=16 != index expression width 8"):
+            predict_slide(ckpt, narrower, ds.test_slides()[0], k=3)
+
 
 class TestBatchedSearch:
     def test_ragged_blocks_match_reference(self, trained, monkeypatch):

@@ -6,7 +6,7 @@
 REV is any git revision, e.g. HEAD~1. Each side runs every stexp command once, with one BLAS thread, from the
 same config and seed: gen-data, train --holdout slide_001, embed, predict, eval, loocv, ablate (all three
 toggles and --k-sweep 1,5) and grad-check --out. The script prints `diff -r` of the two output trees and the
-diff of the commands' stdout, and exits 0 only when both are identical.
+diffs of the commands' stdout and stderr (log lines and warnings), and exits 0 only when all three are identical.
 """
 
 from __future__ import annotations
@@ -41,19 +41,22 @@ COMMANDS = [
 
 
 def run_pipeline(src: Path, side: Path) -> None:
-    """Every command against `src`, its outputs under side/out and their stdout in side/stdout.txt."""
+    """Every command against `src`, its outputs under side/out and their stdout and stderr in side/stdout.txt and
+    side/stderr.txt."""
     out = side / "out"
     out.mkdir(parents=True)
     (out / "config.json").write_text(json.dumps(MICRO_CONFIG))
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
     argvs = [[*cmd[:1], "--config", "config.json", "--seed", SEED, *cmd[1:]] for cmd in COMMANDS]
     argvs.append(["grad-check", "--seed", SEED, "--out", "gc"])
-    log = []
+    logs = {"stdout": [], "stderr": []}
     for argv in argvs:
         done = subprocess.run([sys.executable, "-m", "stexp.cli", *argv], cwd=out, env=env,
-                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-        log.append(f"$ stexp {' '.join(argv)}\n{done.stdout}exit {done.returncode}\n")
-    (side / "stdout.txt").write_text("".join(log))
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for stream, log in logs.items():
+            log.append(f"$ stexp {' '.join(argv)}\n{getattr(done, stream)}exit {done.returncode}\n")
+    for stream, log in logs.items():
+        (side / f"{stream}.txt").write_text("".join(log))
 
 
 def main(argv: list[str]) -> int:
@@ -71,7 +74,7 @@ def main(argv: list[str]) -> int:
         run_pipeline(REPO / "src", tmp / "b")
         identical = True
         print(f"a/ is {argv[0]}, b/ the working tree")
-        for what in ("out", "stdout.txt"):
+        for what in ("out", "stdout.txt", "stderr.txt"):
             diff = subprocess.run(["diff", "-r", f"a/{what}", f"b/{what}"], cwd=tmp, stdout=subprocess.PIPE, text=True)
             print(diff.stdout, end="")
             identical &= diff.returncode == 0
