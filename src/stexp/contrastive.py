@@ -60,7 +60,7 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def _symmetric_ce(sim: Tensor, inv_tau: float) -> Tensor:
+def symmetric_ce(sim: Tensor, inv_tau: float) -> Tensor:
     """(CE over rows + CE over columns) / 2 against diagonal targets."""
     n = sim.shape[0]
     targets = np.arange(n)
@@ -68,19 +68,6 @@ def _symmetric_ce(sim: Tensor, inv_tau: float) -> Tensor:
     loss_image = dc.mean(dc.cross_entropy_with_index_targets(logits, targets))
     loss_spot = dc.mean(dc.cross_entropy_with_index_targets(dc.transpose(logits), targets))
     return dc.scale(dc.add(loss_image, loss_spot), 0.5)
-
-
-def loss_from_similarity(sim: np.ndarray, tau: float) -> float:
-    """Symmetric cross-entropy loss from a precomputed similarity matrix."""
-    sim = np.asarray(sim)
-    if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
-        raise ValueError(f"loss_from_similarity: expected square matrix, got {sim.shape}")
-    if sim.shape[0] < 2:
-        raise ValueError("loss_from_similarity: need at least 2 pairs")
-    if tau <= 0:
-        raise ValueError("loss_from_similarity: temperature must be positive")
-    node = _symmetric_ce(dc.constant(sim), 1.0 / tau)
-    return float(node.data.reshape(()))
 
 
 def build_loss_graph(
@@ -99,7 +86,7 @@ def build_loss_graph(
     h_patch = enc.project(enc.encode_patch(patch_input, params, enc_cfg, lowered), params, "img_proj")
     h_spot = enc.encode_spots(expression, coords, params, enc_cfg)
     sim = dc.matmul(h_patch, dc.transpose(h_spot))
-    return _symmetric_ce(sim, 1.0 / train_cfg.temperature)
+    return symmetric_ce(sim, 1.0 / train_cfg.temperature)
 
 
 # ---------------------------------------------------------------------------

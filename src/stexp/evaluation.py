@@ -51,17 +51,6 @@ def _pearson_columns(pred: np.ndarray, obs: np.ndarray) -> tuple[np.ndarray, np.
     return r, flagged
 
 
-def _neg_log10_p(r: float, s: int) -> float:
-    df = s - 2
-    if abs(r) >= 1.0 - 1e-15:
-        return NEG_LOG10_P_CAP
-    t2 = r * r * df / (1.0 - r * r)
-    p = float(betainc(df / 2.0, 0.5, df / (df + t2)))
-    if p <= 0.0:
-        return NEG_LOG10_P_CAP
-    return min(NEG_LOG10_P_CAP, -np.log10(p))
-
-
 def heg_indices(obs: np.ndarray) -> np.ndarray:
     """The HEG_SIZE genes with the largest mean observed expression, or every gene if fewer (ties: lower index)."""
     means = np.asarray(obs, dtype=np.float64).mean(axis=0)
@@ -86,9 +75,12 @@ def compute_metrics(
         gene_names = [f"g{i}" for i in range(g)]
 
     r, flagged = _pearson_columns(pred, obs)
-    nlp = np.array(
-        [0.0 if flagged[i] else _neg_log10_p(float(r[i]), s) for i in range(g)]
-    )
+    df = s - 2
+    with np.errstate(divide="ignore"):  # |r| = 1 gives t^2 = inf and p = 0, both capped below
+        p = betainc(df / 2.0, 0.5, df / (df + r * r * df / (1.0 - r * r)))
+        nlp = np.fmin(NEG_LOG10_P_CAP, -np.log10(p))  # fmin: a NaN r (from a NaN prediction) is capped too
+    nlp[(np.abs(r) >= 1.0 - 1e-15) | (p <= 0.0)] = NEG_LOG10_P_CAP
+    nlp[flagged] = 0.0
     heg = heg_indices(obs)
     err = pred - obs
     return MetricsRecord(

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import encoders as enc
 from .contrastive import Checkpoint
-from .data import DataFormatError, Slide, read_blob, read_json
+from .data import DataFormatError, Slide, json_type_ok, read_blob, read_json
 
 NEAR_ZERO_DISTANCE = 1e-8  # below this, the nearest neighbor is returned verbatim
 UNIT_NORM_TOL = 1e-5  # an index row's norm may differ from 1 by this much
@@ -353,15 +353,14 @@ def search(index: RetrievalIndex, queries: np.ndarray, k: int) -> tuple[np.ndarr
     float type are held as float32 (RetrievalIndex casts them).
 
     The index is read in blocks of rows, each block's [rows, m] score tile
-    within SEARCH_BLOCK_BYTES, by one worker thread per CPU the BLAS leaves
-    free (CPUs divided by OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else
-    by the CPU count itself), at most one per full tile; with one worker the
-    index is scanned inline and no thread starts. A thread takes the next
-    block, in ascending order, when it finishes one, so a thread slowed by a
-    busy CPU scans fewer blocks instead of holding up the rest. Each thread
-    keeps its own top k, and the threads' lists are merged by (-cosine, row
-    id), so ties at the k-th cosine go to the lower row id whichever thread
-    scanned which block.
+    within SEARCH_BLOCK_BYTES, on a pool of one worker thread per CPU the
+    BLAS leaves free (CPUs divided by OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS, else by the CPU count itself), at least one and at most
+    one per full tile. A thread takes the next block, in ascending order,
+    when it finishes one, so a thread slowed by a busy CPU scans fewer blocks
+    instead of holding up the rest. Each thread keeps its own top k, and the
+    threads' lists are merged by (-cosine, row id), so ties at the k-th
+    cosine go to the lower row id whichever thread scanned which block.
 
     A thread's first block is scored against all queries by one float32
     GEMM into a reused tile, which is transposed to query-major order in
@@ -414,12 +413,9 @@ def search(index: RetrievalIndex, queries: np.ndarray, k: int) -> tuple[np.ndarr
     screen = None
     if m > 1 and n > workers * block:  # a lone query is scored by gemv
         screen = (index.bound.table, *index.bound.query_side(queries))
-    if workers == 1:
-        rows, cosines = _scan_blocks(emb, q_t, k, block, claim, screen)
-    else:
-        with ThreadPoolExecutor(workers) as pool:  # numpy's matmul releases the GIL
-            parts = [pool.submit(_scan_blocks, emb, q_t, k, block, claim, screen) for _ in range(workers)]
-            rows, cosines = _merge_top_k([part.result() for part in parts], k)
+    with ThreadPoolExecutor(workers) as pool:  # numpy's matmul releases the GIL
+        parts = [pool.submit(_scan_blocks, emb, q_t, k, block, claim, screen) for _ in range(workers)]
+        rows, cosines = _merge_top_k([part.result() for part in parts], k)
     ranks = max(1, SEARCH_BLOCK_BYTES // (m * d * emb.itemsize))  # caps the [m, ranks, d] differences
     for j in range(0, k, ranks):
         diffs = np.take(emb, rows[:, j : j + ranks], axis=0)  # in place below: fresh temporaries cost ~2x
@@ -503,7 +499,7 @@ def _provenance(slides: list, path: Path) -> list[tuple[str, int]]:
 
     A pair is a list of a string, then an int (no bool) of at least 1.
     """
-    ok = [type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is int and e[1] >= 1 for e in slides]
+    ok = [json_type_ok(e, tuple[str, int]) and e[1] >= 1 for e in slides]
     if not all(ok):
         i = ok.index(False)
         raise DataFormatError(f"{path}: field slides.{i} is {json.dumps(slides[i])}, "

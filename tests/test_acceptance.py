@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import conftest
+from stexp import diffcore as dc
 from stexp.cli import main as cli_main
 from stexp.cli import run_gradient_suite
-from stexp.contrastive import TrainConfig, loss_from_similarity
+from stexp.contrastive import TrainConfig, symmetric_ce
 from stexp.data import load_dataset, preprocess, synth_generate
 from stexp.encoders import EncoderConfig
 from stexp.evaluation import (
@@ -80,9 +81,12 @@ def test_criterion_02_gradient_suite():
 
 
 def test_criterion_03_loss_calibration():
+    def loss(sim):  # the training loss at temperature 1
+        return float(symmetric_ce(dc.constant(sim), 1.0).data.reshape(()))
+
     ok = True
     for n in (2, 8, 64):
-        ok &= abs(loss_from_similarity(np.zeros((n, n)), tau=1.0) - math.log(n)) < 1e-6
+        ok &= abs(loss(np.zeros((n, n))) - math.log(n)) < 1e-6
 
     rng_losses = []
     for trial in range(100):
@@ -91,7 +95,7 @@ def test_criterion_03_loss_calibration():
         hp /= np.linalg.norm(hp, axis=1, keepdims=True)
         hs = rng.standard_normal((16, 256))
         hs /= np.linalg.norm(hs, axis=1, keepdims=True)
-        rng_losses.append(loss_from_similarity(hp @ hs.T, 1.0))
+        rng_losses.append(loss(hp @ hs.T))
     mean_loss = float(np.mean(rng_losses))
     ok &= abs(mean_loss - math.log(16)) <= 0.10 * math.log(16)
     report(3, ok, f"uniform=lnN exact, random-draw mean {mean_loss:.4f} vs ln16={math.log(16):.4f}")

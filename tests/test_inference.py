@@ -525,18 +525,9 @@ class TestScanWorkers:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         assert inference._scan_workers(10**6, 10) == 3
 
-    def test_index_below_one_tile_starts_no_thread(self, cpus, monkeypatch):
-        cpus(64)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(inference, "ThreadPoolExecutor", lambda *a, **k: pytest.fail("a thread pool opened"))
-        index = make_index(n=30, seed=13)
-        queries = unit_rows(5, 8, 14)
-        rows, _, _ = search(index, queries, 4)
-        np.testing.assert_array_equal(rows, brute_force(index, queries, 4))
-
-    def test_two_free_cpus_scan_on_two_threads(self, cpus, monkeypatch):
-        cpus(2)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The max_workers of each thread pool that search opens, in order."""
         opened = []
 
         class Recording(inference.ThreadPoolExecutor):
@@ -545,11 +536,25 @@ class TestScanWorkers:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(inference, "ThreadPoolExecutor", Recording)
+        return opened
+
+    def test_index_below_one_tile_scans_on_a_pool_of_one(self, cpus, pools, monkeypatch):
+        cpus(64)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        index = make_index(n=30, seed=13)
+        queries = unit_rows(5, 8, 14)
+        rows, _, _ = search(index, queries, 4)
+        assert pools == [1]
+        np.testing.assert_array_equal(rows, brute_force(index, queries, 4))
+
+    def test_two_free_cpus_scan_on_two_threads(self, cpus, pools, monkeypatch):
+        cpus(2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         index = make_index(n=700, d=8, seed=15)
         queries = unit_rows(50, 8, 16)
         rows_per_block(monkeypatch, 64, len(queries))
         threaded = search(index, queries, 7)
-        assert opened == [2]
+        assert pools == [2]
         stub_workers(monkeypatch, 1)
         assert same_bits(threaded, search(index, queries, 7))
 
