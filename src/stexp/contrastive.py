@@ -135,7 +135,8 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
     Every key that a checkpoint's readers use is checked first, every encoder and train setting and each
     parameter's name and shape among them, so a manifest that lacks one, holds one of another type, holds a
     field no config has or a negative dimension is a ValueError naming the file and the dotted field. A
-    params.f32 that does not hold exactly the float32 values of the listed shapes is one naming params.f32.
+    params.f32 that does not hold exactly the float32 values of the listed shapes is one naming params.f32, and
+    so is one holding a NaN or an infinity, which also names the first parameter holding one.
     """
     directory = Path(directory)
     path = directory / "manifest.json"
@@ -156,6 +157,10 @@ def load_checkpoint(directory: str | Path) -> Checkpoint:
                              f"(only {implemented!r})")
     sizes = [math.prod(entry["shape"]) for entry in entries]
     blob = read_blob(directory / "params.f32", "<f4", (sum(sizes),))
+    nonfinite = np.flatnonzero(~np.isfinite(blob))
+    if nonfinite.size:  # NaN or Inf would only surface later, as NaN predictions or an unrelated error
+        entry = entries[int(np.searchsorted(np.cumsum(sizes), nonfinite[0], side="right"))]
+        raise ValueError(f"{directory / 'params.f32'}: parameter {entry['name']} holds {blob[nonfinite[0]]}")
     params = ParamSet()
     offset = 0
     for entry, size in zip(entries, sizes):

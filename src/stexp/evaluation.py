@@ -76,10 +76,10 @@ def compute_metrics(
 
     r, flagged = _pearson_columns(pred, obs)
     df = s - 2
-    with np.errstate(divide="ignore"):  # |r| = 1 gives t^2 = inf and p = 0, both capped below
+    with np.errstate(divide="ignore"):  # |r| = 1 gives t^2 = inf, p = 0 and -log10 p = inf, which is capped
         p = betainc(df / 2.0, 0.5, df / (df + r * r * df / (1.0 - r * r)))
         nlp = np.fmin(NEG_LOG10_P_CAP, -np.log10(p))  # fmin: a NaN r (from a NaN prediction) is capped too
-    nlp[(np.abs(r) >= 1.0 - 1e-15) | (p <= 0.0)] = NEG_LOG10_P_CAP
+    nlp[np.abs(r) >= 1.0 - 1e-15] = NEG_LOG10_P_CAP
     nlp[flagged] = 0.0
     heg = heg_indices(obs)
     err = pred - obs

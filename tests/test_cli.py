@@ -322,6 +322,20 @@ def _provenance_slide(i: int, pair):
     return edit
 
 
+def _param_value(name: str, value: float):
+    """Set the first value of a checkpoint's parameter `name` in its params.f32, found through manifest.json."""
+    def edit(path: Path) -> None:
+        entries = json.loads((path.parent / "manifest.json").read_text())["params"]
+        sizes = [int(np.prod(entry["shape"])) for entry in entries]
+        offset = sum(sizes[: [entry["name"] for entry in entries].index(name)])
+        blob = np.fromfile(path, dtype="<f4")
+        blob[offset] = value
+        blob.tofile(path)
+
+    edit.__name__ = f"{name}={value}"
+    return edit
+
+
 def _earlier_row_map(path: Path) -> None:
     """Rewrite an index's provenance.json in the format before the per-slide counts: a row count and one
     [slide id, spot index] entry per row."""
@@ -395,6 +409,9 @@ ARTIFACT_CORRUPTIONS = [
     ("pred/meta.json", Path.unlink),
     ("ck/params.f32", _truncate),
     ("ck/params.f32", _pad),
+    # NaN or Inf in a parameter would give NaN predictions or fail later on an embedding's norm
+    ("ck/params.f32", _param_value("spot_proj.w2", np.nan)),
+    ("ck/params.f32", _param_value("img_proj.w2", np.inf)),
     ("idx/expressions.f32", _truncate),
     ("pred/expression.f32", _truncate),
     ("ck/manifest.json", _cut_in_half),

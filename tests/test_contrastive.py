@@ -279,6 +279,20 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ValueError, match=f"{blob} is "):
             load_checkpoint(tmp_path / "ck")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_refused_naming_the_first(self, tmp_path, value):
+        ckpt = _tiny_checkpoint(TINY_ENC)
+        names = ckpt.params.names()
+        for name, at in ((names[1], -1), (names[2], 0), (names[-1], 0)):  # a parameter's last and first values
+            ckpt.params[name].data.flat[at] = value
+        save_checkpoint(ckpt, tmp_path / "ck")
+        with pytest.raises(ValueError, match=f"{tmp_path / 'ck' / 'params.f32'}: parameter {names[1]} holds"):
+            load_checkpoint(tmp_path / "ck")
+        ckpt.params[names[1]].data.flat[-1] = 0.0
+        save_checkpoint(ckpt, tmp_path / "ck")
+        with pytest.raises(ValueError, match=f"parameter {names[2]} holds {value}"):
+            load_checkpoint(tmp_path / "ck")
+
     @pytest.mark.parametrize("enc_cfg", [
         TINY_ENC,
         dataclasses.replace(TINY_ENC, image_identity=True),

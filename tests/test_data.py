@@ -407,21 +407,44 @@ def test_no_module_reaches_into_another_modules_private_names():
     assert reached == []
 
 
+def _definitions(tree: ast.Module, nested: bool) -> list[tuple[str, int, int]]:
+    """(name, first line, last line) of each module constant, function and class of a module, nested ones if
+    `nested` (methods and inner functions and classes)."""
+    constants = [(t.id, node) for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for t in (node.targets if isinstance(node, ast.Assign) else [node.target]) if isinstance(t, ast.Name)]
+    defs = [(n.name, n) for n in (ast.walk(tree) if nested else tree.body)
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    return [(name, node.lineno, node.end_lineno) for name, node in constants + defs]
+
+
+def _references(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every name a module loads and every attribute it reads."""
+    return [(n.id if isinstance(n, ast.Name) else n.attr, n.lineno) for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)]
+
+
+def _unreferenced(wanted, nested: bool, elsewhere: tuple[str, ...] = ()) -> list[str]:
+    """`module.name` of each definition of src/stexp whose name `wanted` accepts and that no src/stexp line outside
+    the definition references, nor any module matched by the `elsewhere` globs of the repository root."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    outside = [path for pattern in elsewhere for path in sorted(SRC.parents[1].glob(pattern))]
+    referenced = [(module, *ref) for module, tree in trees.items() for ref in _references(tree)]
+    referenced += [(None, *ref) for path in outside for ref in _references(ast.parse(path.read_text()))]
+    return [f"{module}.{name}" for module, tree in trees.items() for name, first, last in _definitions(tree, nested)
+            if wanted(name) and not any(ref == name and not (where == module and first <= line <= last)
+                                        for where, ref, line in referenced)]
+
+
 def test_every_private_name_is_used_in_the_library():
     """Each `_name` function, method, class or module constant of src/stexp is referenced in src/stexp outside its
     own definition, so none is left that only tests reach."""
-    defined, referenced = [], []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        constants = [(t.id, node) for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
-                     for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
-                     if isinstance(t, ast.Name)]
-        defs = [(n.name, n) for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
-        defined += [(path.stem, name, node.lineno, node.end_lineno) for name, node in constants + defs
-                    if name.startswith("_") and not name.startswith("__")]
-        referenced += [(path.stem, n.id if isinstance(n, ast.Name) else n.attr, n.lineno) for n in ast.walk(tree)
-                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)]
-    unused = [f"{module}.{name}" for module, name, first, last in defined
-              if not any(ref == name and not (where == module and first <= line <= last)
-                         for where, ref, line in referenced)]
-    assert unused == []
+    assert _unreferenced(lambda name: name.startswith("_") and not name.startswith("__"), nested=True) == []
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """Each public module-level function, class or constant of src/stexp is referenced in src/stexp outside its own
+    definition or by the benchmark or the tools, so none is left that only tests reach; cli.main is the entry
+    point."""
+    unused = _unreferenced(lambda name: not name.startswith("_"), nested=False,
+                           elsewhere=("perfbench/*.py", "tools/*.py"))
+    assert [name for name in unused if name != "cli.main"] == []

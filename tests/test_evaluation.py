@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 import conftest
 from stexp.contrastive import TrainConfig
@@ -105,6 +106,15 @@ class TestHeg:
         assert m.pcc_heg == pytest.approx(want, abs=1e-9)
 
 
+def loop_neg_log10_p(r, s):
+    """The per-gene loop that compute_metrics' array pass replaced, kept as its reference."""
+    df = s - 2
+    if abs(r) >= 1.0 - 1e-15:
+        return 300.0
+    p = float(betainc(df / 2.0, 0.5, df / (df + r * r * df / (1.0 - r * r))))
+    return 300.0 if p <= 0.0 else min(300.0, -np.log10(p))
+
+
 def gene_neg_log10_p(x, y):
     """compute_metrics' -log10 p for one gene observed as y and predicted as x."""
     return compute_metrics(np.asarray(x)[:, None], np.asarray(y)[:, None]).per_gene[0][2]
@@ -166,6 +176,32 @@ class TestGenePvalues:
         t = rng.standard_t(18, size=400_000)
         empirical = float(np.mean(np.abs(t) >= 2.449489742783178))
         assert conftest.t_two_sided_p_oracle(0.5, 20) == pytest.approx(empirical, abs=2e-3)
+
+    def test_each_gene_as_if_scored_alone(self):
+        # r = 1, r = -1, a constant prediction, then ordinary columns: one call scores every gene as a one-gene call.
+        # Integer columns summing to 0 make every Pearson sum exact, so r does not depend on numpy's reduction
+        # order, which differs with the column count.
+        rng = np.random.default_rng(12)
+        ints = rng.integers(-5, 6, (30, 12)).astype(np.float64)
+        ints[-1] -= ints.sum(axis=0)
+        x = ints[:, 0]
+        pred = np.column_stack([x, x, np.full(30, 2.0), ints[:, 1:6]])
+        obs = np.column_stack([3 * x + 1, -x, ints[:, 6], ints[:, 7:]])
+        got = np.array([nlp for _, _, nlp in compute_metrics(pred, obs).per_gene])
+        alone = np.array([gene_neg_log10_p(pred[:, j], obs[:, j]) for j in range(pred.shape[1])])
+        assert got.tobytes() == alone.tobytes()
+        assert got[:3].tolist() == [300.0, 300.0, 0.0] and (got[3:] < 300.0).all()
+
+    @pytest.mark.parametrize("s", [3, 30, 400])
+    def test_array_pass_matches_the_per_gene_loop(self, s):
+        rng = np.random.default_rng(s)
+        x = rng.standard_normal(s)
+        pred = np.column_stack([x, x, rng.standard_normal((s, 300))])
+        obs = np.column_stack([x, -x, rng.standard_normal((s, 299)) + 0.3 * pred[:, 2:-1], pred[:, -1]])
+        record = compute_metrics(pred, obs)
+        got = np.array([nlp for _, _, nlp in record.per_gene])
+        want = np.array([loop_neg_log10_p(r, s) for _, r, _ in record.per_gene])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPca:
