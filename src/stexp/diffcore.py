@@ -240,17 +240,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1, padding: int = 0
     with one strided copy, so each row of ``cols`` [N*Ho*Wo, K] is one
     receptive field with K = kh*kw*C. A caller that already holds the input's
     lowering (a constant input seen again) passes it as ``cols``
-    [N, Ho*Wo, K]; it is checked against x and the kernel. The three products
-    are each one GEMM:
+    [N, Ho*Wo, K]; it is checked against x and the kernel. The products are:
 
-        out   = cols @ w_mat.T + b  [N*L, Cout], returned as contiguous NCHW
-        dW    = g_flat.T @ cols     [Cout, K]
-        dcols = g_flat @ w_mat      [N*L, K], scattered back by kh*kw strided adds
+        out   = cols @ w_mat.T + b      [N*L, Cout]
+        dW    = g_flat.T @ cols         [Cout, K]
+        dcols = g_flat @ w_taps[t]      [N*L, C] for each kernel tap t
 
-    where w_mat is the kernel reordered to [Cout, kh, kw, C] and g_flat the
-    output gradient as [N*L, Cout]. When ``x`` does not require a gradient
-    (a constant input such as the patch batch), the dcols GEMM and the
-    scatter are skipped and its gradient is None.
+    where w_mat is the kernel reordered to [Cout, kh, kw, C], w_taps the
+    kernel as [kh*kw, Cout, C] and g_flat the output gradient as [N*L, Cout].
+    The output keeps the product's channels-last memory and has the NCHW
+    shape: a [N, Cout, Ho, Wo] view of a contiguous [N, Ho, Wo, Cout] array,
+    so the relu after it, the next layer's im2col and g_flat here read
+    contiguous memory without a layout copy. Kernels stay [Cout, Cin, kh, kw].
+    col2im goes by stride class: the taps (i, j) that share (i % s, j % s)
+    are summed, in tap order, into one buffer at offset (i // s, j // s),
+    and each class is written once into every s-th row and column of the
+    padded input gradient. The bias gradient is an ``np.einsum`` over
+    g_flat. When ``x`` does not require a gradient (a constant input such as
+    the patch batch), the dcols GEMMs and col2im are skipped and its
+    gradient is None.
     """
     if x.data.ndim != 4:
         raise GraphError(f"conv2d: expected 4-D input, got {x.shape}")
@@ -279,20 +287,27 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, *, stride: int = 1, padding: int = 0
     w_mat = w.data.transpose(0, 2, 3, 1).reshape(c_out, -1)
     out = cols @ w_mat.T  # [N*L, Cout]
     out += b.data  # in place: no second [N*L, Cout] array
-    out = np.ascontiguousarray(out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2))
+    out = out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)
 
     def grad_fn(g):
         g_flat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, c_out)
         dw = (g_flat.T @ cols).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
         dx = None
         if x.requires_grad:
-            dcols = (g_flat @ w_mat).reshape(n, ho, wo, kh, kw, c_in)
+            w_taps = w.data.transpose(2, 3, 0, 1).reshape(kh * kw, c_out, c_in)
+            tap = np.empty((n, ho, wo, c_in), dtype=dtype)  # one tap's dcols, still in cache when it is added
             dxp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c_in), dtype=dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, :, :, i, j]
+            for py in range(min(stride, kh)):
+                for px in range(min(stride, kw)):
+                    stride_class = dxp[:, py::stride, px::stride]
+                    acc = np.zeros_like(stride_class)  # contiguous: each tap adds runs wo*C long
+                    for i in range(py, kh, stride):
+                        for j in range(px, kw, stride):
+                            np.matmul(g_flat, w_taps[i * kw + j], out=tap.reshape(-1, c_in))
+                            acc[:, i // stride : i // stride + ho, j // stride : j // stride + wo] += tap
+                    stride_class[...] = acc
             dx = dxp[:, padding : padding + h, padding : padding + wd].transpose(0, 3, 1, 2)
-        return dx, dw, g.sum(axis=(0, 2, 3))
+        return dx, dw, np.einsum("lc->c", g_flat)
 
     return _result(out, (x, w, b), grad_fn, "conv2d")
 
@@ -323,8 +338,10 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def mean(x: Tensor, axis: tuple[int, ...] | None = None) -> Tensor:
-    out = np.mean(x.data, axis=axis)
+    """Mean over ``axis`` (all axes when None) by one ``np.einsum`` sum, which reads x in its own memory order."""
+    kept = [] if axis is None else [a for a in range(x.data.ndim) if a not in axis]
     count = x.size if axis is None else int(np.prod([x.shape[a] for a in axis]))
+    out = np.einsum(x.data, list(range(x.data.ndim)), kept) / count
 
     def grad_fn(g):  # g gets back the reduced axes as size-1 axes, then one read-only view spreads g / count
         g_exp = np.expand_dims(g, () if axis is None else axis).astype(x.data.dtype, copy=False)

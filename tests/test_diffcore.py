@@ -89,7 +89,7 @@ class TestForward:
         w = rng.standard_normal((4, 3, 2, 3))
         b = rng.standard_normal(4)
         got = dc.conv2d(dc.constant(x), dc.constant(w), dc.constant(b), stride=stride, padding=padding).data
-        assert got.flags.c_contiguous
+        assert got.transpose(0, 2, 3, 1).flags.c_contiguous  # NCHW shape over channels-last memory
         np.testing.assert_allclose(got, _conv2d_reference(x, w, b, stride, padding), rtol=0, atol=1e-12)
 
     def test_relu_bitwise_equals_where_form_and_propagates_nan(self):
@@ -129,9 +129,28 @@ def _im2col_reference(x, kh, kw, stride, padding):
     return cols.reshape(n, ho * wo, kh * kw * c)
 
 
+def _col2im_reference(dcols, x_shape, kh, kw, stride, padding):
+    """The input gradient from dcols [N, Ho, Wo, kh, kw, C] by kh*kw strided adds, in tap order, into a zeroed
+    padded channels-last buffer; returned as an [N, C, H, W] view."""
+    n, c, h, wd = x_shape
+    _, ho, wo = dcols.shape[:3]
+    dxp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=dcols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, :, :, i, j]
+    return dxp[:, padding : padding + h, padding : padding + wd].transpose(0, 3, 1, 2)
+
+
 def _bits(a):
     a = np.ascontiguousarray(a)
     return a.dtype, a.shape, a.tobytes()
+
+
+def _channels_last(a):
+    """Whether a [N, C, H, W] array's memory runs C fastest, then W, H, N (zero strides of a broadcast aside)."""
+    nhwc = a.transpose(0, 2, 3, 1)
+    strides = [s for s, d in zip(nhwc.strides, nhwc.shape) if d > 1 and s != 0]
+    return strides == sorted(strides, reverse=True) and (not strides or strides[-1] == a.itemsize)
 
 
 class TestLowering:
@@ -157,6 +176,23 @@ class TestLowering:
         for want, got in zip(plain.grad_fn(g), lowered.grad_fn(g)):
             assert (want is None and got is None) or _bits(got) == _bits(want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride,padding", CONV_GEOMETRIES)
+    def test_conv2d_input_gradient_bitwise_equals_scatter_by_tap(self, stride, padding, dtype):
+        rng = _rng(54)
+        x = dc.Tensor(rng.standard_normal((2, 3, 5, 7)).astype(dtype), requires_grad=True)
+        w = dc.Tensor(rng.standard_normal((4, 3, 2, 3)).astype(dtype), requires_grad=True)
+        b = dc.Tensor(rng.standard_normal(4).astype(dtype), requires_grad=True)
+        out = dc.conv2d(x, w, b, stride=stride, padding=padding)
+        n, c_out, ho, wo = out.shape
+        for g in (rng.standard_normal(out.shape).astype(dtype), out.data * 2):  # C-order and channels-last
+            got = out.grad_fn(g)[0]
+            w_mat = w.data.transpose(0, 2, 3, 1).reshape(c_out, -1)
+            dcols = (g.transpose(0, 2, 3, 1).reshape(-1, c_out) @ w_mat).reshape(n, ho, wo, 2, 3, 3)
+            want = _col2im_reference(dcols, x.shape, 2, 3, stride, padding)
+            assert _channels_last(got)
+            assert _bits(got) == _bits(want)
+
     @pytest.mark.parametrize("cols_shape, dtype", [
         ((1, 12, 18), np.float64), ((2, 6, 24), np.float64), ((24, 18), np.float64), ((2, 12, 17), np.float64),
         ((2, 12, 18), np.float32),
@@ -180,6 +216,48 @@ def test_mean_backward_is_a_view_with_the_materialized_bits(dtype):
     want = np.broadcast_to(g[:, :, None, None], x.shape).astype(dtype) / 256
     assert not got.flags.writeable
     assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("layout", ["c_order", "channels_last"])
+@pytest.mark.parametrize("shape, axis", [((64, 16, 16, 16), (2, 3)), ((4, 8, 5, 7), None), ((300,), None)])
+def test_mean_matches_np_mean(shape, axis, layout, dtype, tol):
+    x = _rng(55).standard_normal(shape).astype(dtype)
+    if layout == "channels_last" and x.ndim == 4:
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        assert _channels_last(x) and not x.flags.c_contiguous
+    got = dc.mean(dc.constant(x), axis=axis).data
+    want = np.mean(x, axis=axis)
+    assert got.dtype == dtype and got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
+def test_conv_stack_values_and_gradients_stay_channels_last():
+    """In one training step every 4-D value an op computes and every 4-D gradient is channels-last, so no pass of
+    the conv stack reads or writes mixed memory orders."""
+    from stexp import encoders as enc
+    from stexp.contrastive import TrainConfig, build_loss_graph
+
+    cfg = enc.EncoderConfig(hvg_num=16, d_embed=16, n_heads=4, conv_channels=(4, 8, 8), proj_hidden=16,
+                            patch_shape=(3, 16, 16))
+    params = enc.init_params(cfg, seed=1)
+    rng = _rng(56)
+    patches = dc.constant(rng.random((8, 3, 16, 16), dtype=np.float32))
+    expr = dc.constant(rng.uniform(0.0, 4.0, (8, 16)).astype(np.float32))
+    coords = rng.integers(0, cfg.n_positions, (8, 2)).astype(np.uint32)
+    loss = build_loss_graph(params, patches, expr, coords, cfg, TrainConfig(seed=1))
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node.parents)
+    activations = [node for node in nodes.values() if node.parents and node.data.ndim == 4]
+    assert sorted(node.op for node in activations) == ["conv2d"] * 3 + ["relu"] * 3
+    grads = dc.backward(loss)
+    for node in activations:
+        assert _channels_last(node.data), node
+        assert _channels_last(grads[id(node)]), node
 
 
 class TestShapeErrors:
