@@ -321,6 +321,10 @@ def cmd_eval(args, config) -> int:
     meta = read_json(Path(args.pred) / "meta.json",
                      required={"slide_id": str, "spot_num": int, "gene_names": tuple[str, ...]})
     pred = read_blob(Path(args.pred) / "expression.f32", "<f4", (meta["spot_num"], len(meta["gene_names"])))
+    nonfinite = np.argwhere(~np.isfinite(pred))
+    if nonfinite.size:  # NaN or Inf would only surface in the domain clustering, as an unrelated error
+        spot, gene = nonfinite[0]
+        raise ValidationError(f"{Path(args.pred) / 'expression.f32'}: spot {spot} gene {gene} holds {pred[spot, gene]}")
     raw = load_slide(args.slide)
     slide = transform_slide(raw, checkpoint.preprocess)
     for key in ("slide_id", "gene_names"):

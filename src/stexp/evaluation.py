@@ -39,14 +39,20 @@ class MetricsRecord:
 
 
 def _pearson_columns(pred: np.ndarray, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column Pearson r; zero-variance columns get r=0 and a flag."""
-    pc = pred - pred.mean(axis=0)
-    oc = obs - obs.mean(axis=0)
-    sp = np.sqrt((pc * pc).sum(axis=0))
-    so = np.sqrt((oc * oc).sum(axis=0))
+    """Per-column Pearson r; zero-variance columns get r=0 and a flag.
+
+    The sums run over a gene-major copy, one contiguous row per gene, so each gene is summed exactly as it is when
+    scored alone and its r does not depend on which genes are scored with it.
+    """
+    pc = pred.T.copy()
+    oc = obs.T.copy()
+    pc -= pc.mean(axis=1, keepdims=True)
+    oc -= oc.mean(axis=1, keepdims=True)
+    sp = np.sqrt((pc * pc).sum(axis=1))
+    so = np.sqrt((oc * oc).sum(axis=1))
     flagged = (sp == 0) | (so == 0)
     denom = np.where(flagged, 1.0, sp * so)
-    r = (pc * oc).sum(axis=0) / denom
+    r = (pc * oc).sum(axis=1) / denom
     r = np.where(flagged, 0.0, np.clip(r, -1.0, 1.0))
     return r, flagged
 

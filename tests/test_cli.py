@@ -336,6 +336,17 @@ def _param_value(name: str, value: float):
     return edit
 
 
+def _first_value(value: float):
+    """Set the first value of a float32 blob."""
+    def edit(path: Path) -> None:
+        blob = np.fromfile(path, dtype="<f4")
+        blob[0] = value
+        blob.tofile(path)
+
+    edit.__name__ = f"first={value}"
+    return edit
+
+
 def _earlier_row_map(path: Path) -> None:
     """Rewrite an index's provenance.json in the format before the per-slide counts: a row count and one
     [slide id, spot index] entry per row."""
@@ -414,6 +425,8 @@ ARTIFACT_CORRUPTIONS = [
     ("ck/params.f32", _param_value("img_proj.w2", np.inf)),
     ("idx/expressions.f32", _truncate),
     ("pred/expression.f32", _truncate),
+    # a NaN prediction would fail only in the domain clustering, naming neither the file nor the value
+    ("pred/expression.f32", _first_value(np.nan)),
     ("ck/manifest.json", _cut_in_half),
     ("ck/manifest.json", _without("preprocess")),
     ("idx/provenance.json", _without("slides")),
@@ -1132,6 +1145,12 @@ def test_pipeline_diff_runs_the_micro_config(tmp_path):
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert tool.MICRO_CONFIG == json.loads(micro_config(tmp_path).read_text())
+    for side, moved in (("a", 0.0), ("b", 0.25)):
+        (tmp_path / side / "ck").mkdir(parents=True)
+        np.arange(4, dtype="<f4").tofile(tmp_path / side / "same.f32")
+        (np.arange(6) + [0, moved, 0, 0, -moved, 0]).astype("<f4").tofile(tmp_path / side / "ck" / "params.f32")
+    assert tool.blob_differences(tmp_path / "a", tmp_path / "b") == [
+        "ck/params.f32: 6 elements, 2 differ, max |a - b| 0.25"]
 
 
 def test_readme_config_example_resolves(tmp_path):

@@ -179,8 +179,7 @@ class TestGenePvalues:
 
     def test_each_gene_as_if_scored_alone(self):
         # r = 1, r = -1, a constant prediction, then ordinary columns: one call scores every gene as a one-gene call.
-        # Integer columns summing to 0 make every Pearson sum exact, so r does not depend on numpy's reduction
-        # order, which differs with the column count.
+        # Integer columns summing to 0 make every Pearson sum exact, so r = 1 and r = -1 come out exactly.
         rng = np.random.default_rng(12)
         ints = rng.integers(-5, 6, (30, 12)).astype(np.float64)
         ints[-1] -= ints.sum(axis=0)
@@ -191,6 +190,14 @@ class TestGenePvalues:
         alone = np.array([gene_neg_log10_p(pred[:, j], obs[:, j]) for j in range(pred.shape[1])])
         assert got.tobytes() == alone.tobytes()
         assert got[:3].tolist() == [300.0, 300.0, 0.0] and (got[3:] < 300.0).all()
+
+    def test_a_genes_r_does_not_depend_on_the_panel(self):
+        # float columns, whose Pearson sums round: each gene is still summed as in a one-gene call
+        rng = np.random.default_rng(13)
+        pred, obs = rng.standard_normal((30, 8)), rng.standard_normal((30, 8))
+        got = compute_metrics(pred, obs).per_gene
+        alone = [compute_metrics(pred[:, [j]], obs[:, [j]]).per_gene[0] for j in range(8)]
+        assert np.array([g[1:] for g in got]).tobytes() == np.array([a[1:] for a in alone]).tobytes()
 
     @pytest.mark.parametrize("s", [3, 30, 400])
     def test_array_pass_matches_the_per_gene_loop(self, s):

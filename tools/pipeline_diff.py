@@ -7,6 +7,8 @@ REV is any git revision, e.g. HEAD~1. Each side runs every stexp command once, w
 same config and seed: gen-data, train --holdout slide_001, embed, predict, eval, loocv, ablate (all three
 toggles and --k-sweep 1,5) and grad-check --out. The script prints `diff -r` of the two output trees and the
 diffs of the commands' stdout and stderr (log lines and warnings), and exits 0 only when all three are identical.
+For each float32 blob (`.f32`) that differs between the trees it also prints the element count, how many elements
+differ and the largest |a - b|, so a change of summation order can be told from a bug at a glance.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 SEED = "7"
@@ -59,6 +63,24 @@ def run_pipeline(src: Path, side: Path) -> None:
         (side / f"{stream}.txt").write_text("".join(log))
 
 
+def blob_differences(a: Path, b: Path) -> list[str]:
+    """One line per .f32 file under both a and b whose bytes differ: its size and how far its values moved."""
+    lines = []
+    for path_a in sorted(a.rglob("*.f32")):
+        rel = path_a.relative_to(a)
+        path_b = b / rel
+        if not path_b.exists() or path_a.read_bytes() == path_b.read_bytes():
+            continue
+        va, vb = np.fromfile(path_a, dtype="<f4"), np.fromfile(path_b, dtype="<f4")
+        if va.size != vb.size:
+            lines.append(f"{rel}: {va.size} elements against {vb.size}")
+            continue
+        differ = va.view(np.uint32) != vb.view(np.uint32)
+        largest = np.abs(va[differ].astype(np.float64) - vb[differ]).max()
+        lines.append(f"{rel}: {va.size} elements, {int(differ.sum())} differ, max |a - b| {largest:.3g}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -78,6 +100,8 @@ def main(argv: list[str]) -> int:
             diff = subprocess.run(["diff", "-r", f"a/{what}", f"b/{what}"], cwd=tmp, stdout=subprocess.PIPE, text=True)
             print(diff.stdout, end="")
             identical &= diff.returncode == 0
+        for line in blob_differences(tmp / "a" / "out", tmp / "b" / "out"):
+            print(line)
     print("identical" if identical else "outputs differ")
     return 0 if identical else 1
 
