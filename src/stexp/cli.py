@@ -285,7 +285,7 @@ def cmd_train(args, config) -> int:
 def cmd_embed(args, config) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     slides = load_dataset(args.data)
-    train_ids = set(checkpoint.preprocess["train_ids"])
+    train_ids = set(checkpoint.preprocess.train_ids)
     missing = sorted(train_ids - {s.slide_id for s in slides})
     if missing:  # the index holds every training spot
         raise ValidationError(f"embed: --data {args.data} lacks the checkpoint's training slides {missing}")

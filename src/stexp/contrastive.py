@@ -18,8 +18,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import encoders as enc
-from .data import (PREPROCESS_TRANSFORM, ProcessedDataset, batch_sampler, config_from_json, read_blob, read_json,
-                   require_object, write_json)
+from .data import Preprocessing, ProcessedDataset, batch_sampler, config_from_json, read_blob, read_json, write_json
 from .diffcore import ParamSet, Tensor
 
 log = logging.getLogger(__name__)
@@ -99,74 +98,49 @@ class Checkpoint:
     params: ParamSet
     encoder_config: enc.EncoderConfig
     train_config: TrainConfig
-    preprocess: dict  # the training data's preprocessing manifest, as transform_slide takes it
+    preprocess: Preprocessing  # the training data's preprocessing manifest, as transform_slide takes it
     history: list[float]  # mean loss per epoch
 
 
 def save_checkpoint(ckpt: Checkpoint, directory: str | Path) -> None:
-    """Write manifest.json, listing each parameter's name and shape, and params.f32, their <f4 values in that order."""
+    """Write manifest.json, the settings and loss history, and params.f32, each parameter's <f4 values in name order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    arrays = [(name, t.data.astype("<f4")) for name, t in ckpt.params.items()]
     manifest = {
         "encoder": asdict(ckpt.encoder_config),
         "train": asdict(ckpt.train_config),
-        "preprocess": ckpt.preprocess,
-        "params": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
+        "preprocess": asdict(ckpt.preprocess),
         "loss_history": ckpt.history,
     }
-    (directory / "params.f32").write_bytes(b"".join(arr.tobytes() for _, arr in arrays))
+    (directory / "params.f32").write_bytes(b"".join(t.data.astype("<f4").tobytes() for _, t in ckpt.params.items()))
     write_json(directory / "manifest.json", manifest)
 
 
-# The manifest sections and the keys of each that a checkpoint's readers use: {section: {key: annotation}}
-_MANIFEST_KEYS = {
-    "encoder": {},
-    "train": {},
-    "preprocess": {"target_sum": float, "transform": str, "hvg_indices": tuple[int, ...],
-                   "hvg_gene_names": tuple[str, ...], "train_ids": tuple[str, ...]},
-}
-_PARAMS_ENTRY_KEYS = {"name": str, "shape": tuple[int, ...]}
-
-
 def load_checkpoint(directory: str | Path) -> Checkpoint:
-    """Read a checkpoint, refusing a preprocessing transform other than PREPROCESS_TRANSFORM.
+    """Read a checkpoint whose parameter layout is the one its encoder settings imply (encoders.param_shapes).
 
-    Every key that a checkpoint's readers use is checked first, every encoder and train setting and each
-    parameter's name and shape among them, so a manifest that lacks one, holds one of another type, holds a
-    field no config has or a negative dimension is a ValueError naming the file and the dotted field. A
-    params.f32 that does not hold exactly the float32 values of the listed shapes is one naming params.f32, and
-    so is one holding a NaN or an infinity, which also names the first parameter holding one.
+    Each settings section is parsed by config_from_json, so a manifest that lacks a setting, holds one of another
+    type, one no config has or a preprocessing transform other than the implemented one is a ValueError naming the
+    file and the dotted field. A params.f32 that does not hold exactly the float32 values of that layout is one
+    naming params.f32, and so is one holding a NaN or an infinity, which also names the first parameter holding one.
     """
     directory = Path(directory)
     path = directory / "manifest.json"
-    manifest = read_json(path, required={**dict.fromkeys(_MANIFEST_KEYS, dict), "params": list,
-                                         "loss_history": list})
-    for section, keys in _MANIFEST_KEYS.items():
-        require_object(manifest[section], section, keys, path)
-    entries = manifest["params"]
-    for i, entry in enumerate(entries):
-        require_object(entry, f"params.{i}", _PARAMS_ENTRY_KEYS, path)
-        if min(entry["shape"], default=0) < 0:
-            raise ValueError(f"{path}: field params.{i}.shape={entry['shape']} has a negative dimension")
+    manifest = read_json(path, required={"encoder": dict, "train": dict, "preprocess": dict, "loss_history": list})
     enc_cfg = config_from_json(enc.EncoderConfig, manifest["encoder"], f"{path}: field encoder.")
     train_cfg = config_from_json(TrainConfig, manifest["train"], f"{path}: field train.")
-    for key, implemented in PREPROCESS_TRANSFORM.items():
-        if manifest["preprocess"][key] != implemented:
-            raise ValueError(f"{path}: field preprocess.{key}={manifest['preprocess'][key]!r} is not supported "
-                             f"(only {implemented!r})")
-    sizes = [math.prod(entry["shape"]) for entry in entries]
-    blob = read_blob(directory / "params.f32", "<f4", (sum(sizes),))
+    preprocessing = config_from_json(Preprocessing, manifest["preprocess"], f"{path}: field preprocess.")
+    layout = sorted(enc.param_shapes(enc_cfg).items())
+    ends = np.cumsum([math.prod(shape) for _, shape in layout])
+    blob = read_blob(directory / "params.f32", "<f4", (int(ends[-1]),))
     nonfinite = np.flatnonzero(~np.isfinite(blob))
     if nonfinite.size:  # NaN or Inf would only surface later, as NaN predictions or an unrelated error
-        entry = entries[int(np.searchsorted(np.cumsum(sizes), nonfinite[0], side="right"))]
-        raise ValueError(f"{directory / 'params.f32'}: parameter {entry['name']} holds {blob[nonfinite[0]]}")
+        name = layout[int(np.searchsorted(ends, nonfinite[0], side="right"))][0]
+        raise ValueError(f"{directory / 'params.f32'}: parameter {name} holds {blob[nonfinite[0]]}")
     params = ParamSet()
-    offset = 0
-    for entry, size in zip(entries, sizes):
-        params.add(entry["name"], blob[offset : offset + size].reshape(entry["shape"]))
-        offset += size
-    return Checkpoint(params, enc_cfg, train_cfg, manifest["preprocess"], manifest["loss_history"])
+    for (name, shape), values in zip(layout, np.split(blob, ends[:-1])):
+        params.add(name, values.reshape(shape))
+    return Checkpoint(params, enc_cfg, train_cfg, preprocessing, manifest["loss_history"])
 
 
 # ---------------------------------------------------------------------------

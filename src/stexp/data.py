@@ -38,8 +38,6 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 TARGET_LIBRARY_SIZE = 1e4  # per-spot count sum before log1p
-# The transform as a preprocessing manifest records it; a checkpoint recording another is refused when it loads.
-PREPROCESS_TRANSFORM = {"target_sum": TARGET_LIBRARY_SIZE, "transform": "log1p"}
 
 
 class DataFormatError(ValueError):
@@ -308,20 +306,37 @@ def load_dataset(root: str | Path) -> list[Slide]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Preprocessing:
+    """The preprocessing manifest: the transform, and the gene panel selected from the training slides."""
+
+    target_sum: float
+    transform: str
+    hvg_indices: tuple[int, ...]
+    hvg_gene_names: tuple[str, ...]
+    train_ids: tuple[str, ...]
+
+    def __post_init__(self):
+        for name, implemented in (("target_sum", TARGET_LIBRARY_SIZE), ("transform", "log1p")):
+            if getattr(self, name) != implemented:
+                raise ValueError(f"Preprocessing: {name}={getattr(self, name)!r} is not supported "
+                                 f"(only {implemented!r})")
+
+
 @dataclass
 class ProcessedDataset:
     """Slides with normalized expression restricted to the selected gene subset."""
 
     slides: list[Slide]
     gene_names: list[str]
-    manifest: dict
+    manifest: Preprocessing
 
     def train_slides(self) -> list[Slide]:
-        ids = set(self.manifest["train_ids"])
+        ids = set(self.manifest.train_ids)
         return [s for s in self.slides if s.slide_id in ids]
 
     def test_slides(self) -> list[Slide]:
-        ids = set(self.manifest["train_ids"])
+        ids = set(self.manifest.train_ids)
         return [s for s in self.slides if s.slide_id not in ids]
 
     def get(self, slide_id: str) -> Slide:
@@ -342,7 +357,7 @@ def _normalize(counts: np.ndarray) -> np.ndarray:
     return np.log1p(expr / expr.sum(axis=1, keepdims=True) * TARGET_LIBRARY_SIZE)
 
 
-def transform_slide(slide: Slide, manifest: dict) -> Slide:
+def transform_slide(slide: Slide, manifest: Preprocessing) -> Slide:
     """Apply a recorded preprocessing manifest to one raw slide.
 
     The slide must hold the manifest's gene panel: every hvg_indices entry
@@ -350,14 +365,14 @@ def transform_slide(slide: Slide, manifest: dict) -> Slide:
     the manifest's hvg_gene_names. A slide that does not is a
     DataFormatError naming the slide and the field.
     """
-    hvg = np.asarray(manifest["hvg_indices"], dtype=np.int64)
+    hvg = np.asarray(manifest.hvg_indices, dtype=np.int64)
     if hvg.size and not 0 <= hvg.min() <= hvg.max() < slide.gene_num:
         raise DataFormatError(f"{slide.slide_id}: gene_num={slide.gene_num} does not hold the manifest's "
                               f"hvg_indices {hvg.min()}..{hvg.max()}")
     names = [slide.gene_names[i] for i in hvg]
-    if names != manifest["hvg_gene_names"]:
+    if tuple(names) != manifest.hvg_gene_names:
         raise DataFormatError(f"{slide.slide_id}: gene_names at the manifest's hvg_indices are {names!r}, "
-                              f"its hvg_gene_names {manifest['hvg_gene_names']!r}")
+                              f"its hvg_gene_names {list(manifest.hvg_gene_names)!r}")
     keep = kept_spots(slide)
     if not keep.all():
         log.warning("%s: dropping %d zero-count spots", slide.slide_id, np.count_nonzero(~keep))
@@ -393,12 +408,8 @@ def preprocess(slides: list[Slide], hvg_num: int, train_ids: list[str]) -> Proce
     variances = np.concatenate([_normalize(by_id[t].expression[kept_spots(by_id[t])]) for t in train_ids]).var(axis=0)
     hvg = np.lexsort((np.arange(gene_num), -variances))[:hvg_num]
 
-    manifest = {
-        **PREPROCESS_TRANSFORM,
-        "hvg_indices": [int(i) for i in hvg],
-        "hvg_gene_names": [slides[0].gene_names[i] for i in hvg],
-        "train_ids": list(train_ids),
-    }
+    manifest = Preprocessing(TARGET_LIBRARY_SIZE, "log1p", hvg_indices=tuple(int(i) for i in hvg),
+                             hvg_gene_names=tuple(slides[0].gene_names[i] for i in hvg), train_ids=tuple(train_ids))
     out_slides = [transform_slide(s, manifest) for s in slides]
     return ProcessedDataset(slides=out_slides, gene_names=out_slides[0].gene_names, manifest=manifest)
 

@@ -76,47 +76,41 @@ class EncoderConfig:
         return int(sum(self.conv_channels)) if self.convolves else math.prod(self.input_shape)
 
 
-def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def init_params(cfg: EncoderConfig, seed: int) -> ParamSet:
-    """Create all learnable tensors in a fixed order from a seeded generator.
-
-    Weights are uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)); biases start at zero.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ps = ParamSet()
-
+def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Every learnable tensor's name and shape, in the order init_params draws them."""
+    shapes = {}
     if cfg.convolves:
         c_in = cfg.patch_shape[0]
         for i, c_out in enumerate(cfg.conv_channels):
-            fan = c_in * CONV_KERNEL * CONV_KERNEL
-            ps.add(f"conv.{i}.w", _uniform(rng, fan, (c_out, c_in, CONV_KERNEL, CONV_KERNEL)))
-            ps.add(f"conv.{i}.b", np.zeros(c_out, dtype=np.float32))
+            shapes |= {f"conv.{i}.w": (c_out, c_in, CONV_KERNEL, CONV_KERNEL), f"conv.{i}.b": (c_out,)}
             c_in = c_out
-
-    ps.add("img_proj.w1", _uniform(rng, cfg.feat_dim, (cfg.feat_dim, cfg.proj_hidden)))
-    ps.add("img_proj.b1", np.zeros(cfg.proj_hidden, dtype=np.float32))
-    ps.add("img_proj.w2", _uniform(rng, cfg.proj_hidden, (cfg.proj_hidden, cfg.d_embed)))
-    ps.add("img_proj.b2", np.zeros(cfg.d_embed, dtype=np.float32))
-
+    shapes |= {"img_proj.w1": (cfg.feat_dim, cfg.proj_hidden), "img_proj.b1": (cfg.proj_hidden,),
+               "img_proj.w2": (cfg.proj_hidden, cfg.d_embed), "img_proj.b2": (cfg.d_embed,)}
     if cfg.use_positional:
-        ps.add("pos.wx", _uniform(rng, cfg.n_positions, (cfg.n_positions, cfg.hvg_num)))
-        ps.add("pos.wy", _uniform(rng, cfg.n_positions, (cfg.n_positions, cfg.hvg_num)))
-
+        shapes |= {"pos.wx": (cfg.n_positions, cfg.hvg_num), "pos.wy": (cfg.n_positions, cfg.hvg_num)}
     if cfg.use_mhsa:
         for i in range(cfg.n_heads):
-            ps.add(f"attn.h{i}.wq", _uniform(rng, cfg.hvg_num, (cfg.hvg_num, cfg.d_k)))
-            ps.add(f"attn.h{i}.wk", _uniform(rng, cfg.hvg_num, (cfg.hvg_num, cfg.d_k)))
-            ps.add(f"attn.h{i}.wv", _uniform(rng, cfg.hvg_num, (cfg.hvg_num, cfg.d_k)))
-        ps.add("attn.w0", _uniform(rng, cfg.hvg_num, (cfg.hvg_num, cfg.hvg_num)))
+            shapes |= {f"attn.h{i}.{w}": (cfg.hvg_num, cfg.d_k) for w in ("wq", "wk", "wv")}
+        shapes["attn.w0"] = (cfg.hvg_num, cfg.hvg_num)
+    shapes |= {"spot_proj.w1": (cfg.hvg_num, cfg.proj_hidden), "spot_proj.b1": (cfg.proj_hidden,),
+               "spot_proj.w2": (cfg.proj_hidden, cfg.d_embed), "spot_proj.b2": (cfg.d_embed,)}
+    return shapes
 
-    ps.add("spot_proj.w1", _uniform(rng, cfg.hvg_num, (cfg.hvg_num, cfg.proj_hidden)))
-    ps.add("spot_proj.b1", np.zeros(cfg.proj_hidden, dtype=np.float32))
-    ps.add("spot_proj.w2", _uniform(rng, cfg.proj_hidden, (cfg.proj_hidden, cfg.d_embed)))
-    ps.add("spot_proj.b2", np.zeros(cfg.d_embed, dtype=np.float32))
+
+def init_params(cfg: EncoderConfig, seed: int) -> ParamSet:
+    """Create all learnable tensors in param_shapes order from a seeded generator.
+
+    Weights are uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)), the fan-in being a
+    kernel's C*kh*kw or a matrix's row count; biases start at zero.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    ps = ParamSet()
+    for name, shape in param_shapes(cfg).items():
+        if len(shape) == 1:
+            ps.add(name, np.zeros(shape, dtype=np.float32))
+        else:
+            bound = 1.0 / math.sqrt(math.prod(shape[1:]) if len(shape) == 4 else shape[0])
+            ps.add(name, rng.uniform(-bound, bound, size=shape).astype(np.float32))
     return ps
 
 

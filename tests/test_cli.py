@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import re
 import shutil
 import warnings
@@ -16,9 +17,9 @@ import pytest
 from stexp import cli
 from stexp import diffcore as dc
 from stexp.cli import main
-from stexp.contrastive import TrainConfig
+from stexp.contrastive import TrainConfig, load_checkpoint
 from stexp.data import GenConfig, load_dataset, save_slide
-from stexp.encoders import EncoderConfig
+from stexp.encoders import EncoderConfig, param_shapes
 
 
 def micro_config(tmp_path: Path) -> Path:
@@ -322,12 +323,16 @@ def _provenance_slide(i: int, pair):
     return edit
 
 
+def _layout(ck: Path) -> list[tuple[str, tuple[int, ...]]]:
+    """A checkpoint's (parameter name, shape) pairs in params.f32 order: the ones its encoder settings imply."""
+    return sorted(param_shapes(load_checkpoint(ck).encoder_config).items())
+
+
 def _param_value(name: str, value: float):
-    """Set the first value of a checkpoint's parameter `name` in its params.f32, found through manifest.json."""
+    """Set the first value of a checkpoint's parameter `name` in its params.f32, found through param_shapes."""
     def edit(path: Path) -> None:
-        entries = json.loads((path.parent / "manifest.json").read_text())["params"]
-        sizes = [int(np.prod(entry["shape"])) for entry in entries]
-        offset = sum(sizes[: [entry["name"] for entry in entries].index(name)])
+        layout = _layout(path.parent)
+        offset = sum(math.prod(shape) for _, shape in layout[: [n for n, _ in layout].index(name)])
         blob = np.fromfile(path, dtype="<f4")
         blob[offset] = value
         blob.tofile(path)
@@ -357,13 +362,14 @@ def _earlier_row_map(path: Path) -> None:
 
 
 def _parent_format(path: Path) -> None:
-    """Rewrite a checkpoint manifest in the format of the release before the parameter list: each fact it derives
-    (the encoder's input kind, the blob layout, the run's seed, epochs and final loss, the gene count) stated again."""
+    """Rewrite a checkpoint manifest in the format of the release before the encoder's input kind was derived: each
+    fact now derived (the input kind, the blob layout, the run's seed, epochs and final loss, the gene count) stated
+    again."""
     manifest = json.loads(path.read_text())
     entries, offset = [], 0
-    for entry in manifest["params"]:
-        nbytes = 4 * int(np.prod(entry["shape"]))
-        entries.append({**entry, "offset": offset, "nbytes": nbytes})
+    for name, shape in _layout(path.parent):
+        nbytes = 4 * math.prod(shape)
+        entries.append({"name": name, "shape": list(shape), "offset": offset, "nbytes": nbytes})
         offset += nbytes
     manifest["params"] = {"dtype": "<f4", "total_bytes": offset, "entries": entries}
     manifest["encoder"]["input_kind"] = "pixels"
@@ -373,34 +379,29 @@ def _parent_format(path: Path) -> None:
     path.write_text(json.dumps(manifest))
 
 
-# (corruption of ck/manifest.json, the field its error names); params.0 is attn.h0.wk, an [8, 4] tensor
+# (corruption of ck/manifest.json, the field its error names)
 CHECKPOINT_FIELD_CORRUPTIONS = [
-    (_set("preprocess.target_sum", 5000), "preprocess.target_sum"),
-    (_set("preprocess.transform", "sqrt"), "preprocess.transform"),
+    (_set("preprocess.target_sum", 5000), "field preprocess: Preprocessing: target_sum=5000 is not supported"),
+    (_set("preprocess.transform", "sqrt"), "field preprocess: Preprocessing: transform='sqrt' is not supported"),
     (_set("preprocess.transform", None), "preprocess.transform"),
-    (_parent_format, "field params"),
+    (_parent_format, "encoder.input_kind"),
     # a missing or mistyped nested field, named by its dotted path
     (_set("preprocess.hvg_indices", None), "preprocess.hvg_indices"),
     (_set("preprocess.train_ids", None), "preprocess.train_ids"),
-    (_set("params", None), "params"),
-    (_set("params", 7), "params"),
-    *((_set(f"params.0.{key}", None), f"params.0.{key}") for key in ("name", "shape")),
     (_set("encoder", []), "encoder"),
     (_set("train", []), "train"),
-    # a field of another type than its annotation, in a config section or in the layout
+    # a field of another type than its annotation, in a settings section
     (_set("encoder.use_mhsa", 0), "encoder.use_mhsa"),
     (_set("encoder.d_embed", "16"), "encoder.d_embed"),
     (_set("train.batch_size", 8.5), "train.batch_size"),
     (_set("preprocess.hvg_indices", "0,1"), "preprocess.hvg_indices"),
-    (_set("params.0.name", 7), "params.0.name"),
-    (_set("params.0.shape", "8,4"), "params.0.shape"),
-    (_set("params.0.shape", [8, 4.0]), "params.0.shape"),
-    (_set("params.0.shape", [-8, -4]), "params.0.shape"),
     # every setting is required, each missing one named: a field added to a config gets its row here
     *((_set(f"{section}.{f.name}", None), f"{section}.{f.name}")
       for section, cls in (("encoder", EncoderConfig), ("train", TrainConfig)) for f in dataclasses.fields(cls)),
     (_set("preprocess.hvg_gene_names", None), "preprocess.hvg_gene_names"),
     (_set("loss_history", None), "loss_history"),
+    # an earlier release wrote the zero-count spots that preprocessing drops, which follow from the slides
+    (_set("preprocess.dropped_spots", {}), "preprocess.dropped_spots"),
     # a value of the right type that the config class itself refuses, named with its section
     (_set("encoder.n_heads", 3), "field encoder: EncoderConfig: hvg_num=8 must be divisible by n_heads=3"),
     (_set("train.epochs", 0), "field train: TrainConfig: epochs must be >= 1"),
@@ -870,12 +871,27 @@ class TestPreflight:
         assert f"{section}.{field}" in err and str(ck / "manifest.json") in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("shape", [[9, 4], [7, 4]])
-    def test_checkpoint_listing_another_blob_size_names_the_blob(self, pipeline, tmp_path, capsys, shape):
+    def test_earlier_parameter_list_is_ignored(self, pipeline, tmp_path):
+        # the release before listed each parameter's name and shape, and with two entries swapped embedded otherwise
         root, cfg = pipeline
         ck = tmp_path / "ck"
         shutil.copytree(root / "ck", ck)
-        _set("params.0.shape", shape)(ck / "manifest.json")
+        entries = [{"name": name, "shape": list(shape)} for name, shape in _layout(ck)]
+        names = [e["name"] for e in entries]
+        i, j = names.index("attn.h0.wq"), names.index("attn.h0.wk")
+        entries[i], entries[j] = entries[j], entries[i]
+        _set("params", entries)(ck / "manifest.json")
+        assert main(["embed", "--config", str(cfg), "--seed", "7", "--checkpoint", str(ck),
+                     "--data", str(root / "data"), "--out", str(tmp_path / "idx")]) == 0
+        assert dir_bytes(tmp_path / "idx") == dir_bytes(root / "idx")
+
+    @pytest.mark.parametrize("dotted, value", [("encoder.proj_hidden", 17), ("encoder.conv_channels", [7]),
+                                               ("encoder.use_mhsa", False)])
+    def test_settings_implying_another_layout_name_the_blob(self, pipeline, tmp_path, capsys, dotted, value):
+        root, cfg = pipeline
+        ck = tmp_path / "ck"
+        shutil.copytree(root / "ck", ck)
+        _set(dotted, value)(ck / "manifest.json")
         out = tmp_path / "idx"
         assert main(["embed", "--config", str(cfg), "--checkpoint", str(ck), "--data", str(root / "data"),
                      "--out", str(out)]) == 1

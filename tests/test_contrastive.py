@@ -20,8 +20,8 @@ from stexp.contrastive import (
     save_checkpoint,
     symmetric_ce,
 )
-from stexp.data import PREPROCESS_TRANSFORM, GenConfig, load_dataset, preprocess, synth_generate
-from stexp.encoders import EncoderConfig, embed_patches, embed_spots, init_params
+from stexp.data import TARGET_LIBRARY_SIZE, GenConfig, Preprocessing, load_dataset, preprocess, synth_generate
+from stexp.encoders import EncoderConfig, embed_patches, embed_spots, init_params, param_shapes
 from stexp.inference import RetrievalIndex, build_index, encode_slide_patches, search
 
 
@@ -324,8 +324,41 @@ class TestCheckpointRoundTrip:
         for key in written["preprocess"]:  # the preprocessing manifest as preprocess writes it
             section = {k: v for k, v in written["preprocess"].items() if k != key}
             path.write_text(json.dumps({**written, "preprocess": section}))
-            with pytest.raises(ValueError, match=f"{path}: missing key preprocess.{key}"):
+            with pytest.raises(ValueError, match=f"{path}: field preprocess.{key} is missing"):
                 load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["as-written", "two-swapped"])
+    def test_earlier_parameter_list_is_ignored(self, tmp_path, swap):
+        # the release before the layout followed from the encoder settings listed each parameter's name and shape
+        ckpt = _tiny_checkpoint(TINY_ENC)
+        save_checkpoint(ckpt, tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        entries = [{"name": name, "shape": list(t.shape)} for name, t in ckpt.params.items()]
+        if swap:
+            entries[0], entries[-1] = entries[-1], entries[0]
+        path.write_text(json.dumps({**json.loads(path.read_text()), "params": entries}))
+        back = load_checkpoint(tmp_path / "ck")
+        assert back.params.names() == ckpt.params.names()
+        for name, t in ckpt.params.items():
+            assert back.params[name].data.tobytes() == t.data.tobytes(), name
+
+    def test_blob_layout_follows_from_the_encoder_settings(self, tmp_path):
+        ckpt = _tiny_checkpoint(TINY_ENC)
+        save_checkpoint(ckpt, tmp_path / "ck")
+        blob = np.fromfile(tmp_path / "ck" / "params.f32", dtype="<f4")
+        offset = 0
+        for name, shape in sorted(param_shapes(TINY_ENC).items()):
+            size = math.prod(shape)
+            assert blob[offset : offset + size].tobytes() == ckpt.params[name].data.tobytes(), name
+            offset += size
+        assert offset == blob.size
+
+    def test_preprocessing_survives_round_trip(self, tiny_processed, tmp_path):
+        ckpt = dataclasses.replace(_tiny_checkpoint(TINY_ENC), preprocess=tiny_processed.manifest)
+        save_checkpoint(ckpt, tmp_path / "ck")
+        back = load_checkpoint(tmp_path / "ck").preprocess
+        assert back == tiny_processed.manifest and isinstance(back, Preprocessing)
+        assert all(isinstance(getattr(back, f), tuple) for f in ("hvg_indices", "hvg_gene_names", "train_ids"))
 
     def test_history_survives_round_trip(self, tiny_processed, tmp_path):
         tcfg = TrainConfig(batch_size=16, epochs=3, temperature=0.05, seed=9)
@@ -362,7 +395,8 @@ class TestCheckpointRoundTrip:
         earlier = {section: {k: v for k, v in values.items() if k not in retired[section]}
                    for section, values in written.items()}
         assert json.loads(json.dumps({"encoder": asdict(enc_cfg), "train": asdict(tcfg)})) == earlier
-        ckpt = load_checkpoint(_write_checkpoint_dir(tmp_path / "today", earlier))
+        values = sum(math.prod(shape) for shape in param_shapes(enc_cfg).values())
+        ckpt = load_checkpoint(_write_checkpoint_dir(tmp_path / "today", earlier, values))
         assert (ckpt.encoder_config, ckpt.train_config) == (enc_cfg, tcfg)
 
     @pytest.mark.parametrize("section, field, value", [
@@ -385,11 +419,10 @@ class TestCheckpointRoundTrip:
         ckpt = fit(tiny_processed, tcfg, TINY_ENC)
         save_checkpoint(ckpt, tmp_path / "ck")
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-        assert set(manifest) == {"encoder", "train", "preprocess", "params", "loss_history"}
-        assert manifest["params"] == [{"name": name, "shape": list(t.shape)} for name, t in ckpt.params.items()]
+        assert set(manifest) == {"encoder", "train", "preprocess", "loss_history"}
         assert (manifest["train"]["seed"], manifest["train"]["epochs"]) == (9, 2)
         assert manifest["loss_history"] == ckpt.history
-        assert manifest["preprocess"] == json.loads(json.dumps(tiny_processed.manifest))
+        assert manifest["preprocess"] == json.loads(json.dumps(asdict(tiny_processed.manifest)))
 
     def test_fit_holds_the_configs_it_was_given(self, tiny_processed):
         tcfg = TrainConfig(batch_size=16, epochs=2, temperature=0.05, seed=9)
@@ -401,18 +434,18 @@ class TestCheckpointRoundTrip:
 
 def _tiny_checkpoint(enc_cfg: EncoderConfig) -> Checkpoint:
     """An untrained checkpoint of `enc_cfg`, with a preprocessing manifest of its genes."""
-    preprocess = {**PREPROCESS_TRANSFORM, "hvg_indices": list(range(enc_cfg.hvg_num)),
-                  "hvg_gene_names": [f"g{i}" for i in range(enc_cfg.hvg_num)], "train_ids": ["s0"]}
+    preprocess = Preprocessing(TARGET_LIBRARY_SIZE, "log1p", hvg_indices=tuple(range(enc_cfg.hvg_num)),
+                               hvg_gene_names=tuple(f"g{i}" for i in range(enc_cfg.hvg_num)), train_ids=("s0",))
     return Checkpoint(init_params(enc_cfg, seed=2), enc_cfg, TrainConfig(seed=2), preprocess, [1.5])
 
 
-def _write_checkpoint_dir(directory, sections: dict):
-    """A parameterless checkpoint directory whose manifest holds `sections`; returns the directory."""
+def _write_checkpoint_dir(directory, sections: dict, values: int = 0):
+    """A checkpoint directory whose manifest holds `sections` and whose params.f32 holds `values` zeros."""
     directory.mkdir()
     manifest = {**sections,
                 "preprocess": {"target_sum": 10000.0, "transform": "log1p", "hvg_indices": [], "hvg_gene_names": [],
                                "train_ids": []},
-                "params": [], "loss_history": []}
+                "loss_history": []}
     (directory / "manifest.json").write_text(json.dumps(manifest))
-    (directory / "params.f32").write_bytes(b"")
+    (directory / "params.f32").write_bytes(bytes(4 * values))
     return directory

@@ -4,6 +4,7 @@ import ast
 import json
 import logging
 import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from stexp.data import (
     DataFormatError,
     GenConfig,
+    Preprocessing,
     Slide,
     batch_sampler,
     kept_spots,
@@ -171,7 +173,7 @@ class TestPreprocess:
         slide.expression[::2, 0] = 9.0
         slide.expression[::2, 2] = 1.0
         ds = preprocess([slide], hvg_num=2, train_ids=[slide.slide_id])
-        assert set(ds.manifest["hvg_indices"]) == {0, 2}
+        assert set(ds.manifest.hvg_indices) == {0, 2}
 
     def test_hvg_equals_gene_num_orders_by_variance(self):
         slide = make_slide(spots=30, genes=5)
@@ -180,7 +182,7 @@ class TestPreprocess:
             slide.expression / slide.expression.sum(1, keepdims=True) * 1e4
         ).astype(np.float64)
         variances = normed.var(axis=0)
-        assert ds.manifest["hvg_indices"] == list(np.lexsort((np.arange(5), -variances)))
+        assert ds.manifest.hvg_indices == tuple(np.lexsort((np.arange(5), -variances)))
 
     def test_selection_uses_training_slides_only(self):
         train = make_slide(seed=1, spots=40, genes=12)
@@ -188,7 +190,7 @@ class TestPreprocess:
         test_b = make_slide(seed=3, spots=40, genes=12)
         ds1 = preprocess([train, test_a], hvg_num=6, train_ids=[train.slide_id])
         ds2 = preprocess([train, test_b], hvg_num=6, train_ids=[train.slide_id])
-        np.testing.assert_array_equal(ds1.manifest["hvg_indices"], ds2.manifest["hvg_indices"])
+        np.testing.assert_array_equal(ds1.manifest.hvg_indices, ds2.manifest.hvg_indices)
 
     def test_zero_count_spot_dropped(self):
         slide = make_slide(spots=8, genes=4)
@@ -196,7 +198,7 @@ class TestPreprocess:
         ds = preprocess([slide], hvg_num=4, train_ids=[slide.slide_id])
         assert ds.slides[0].spot_num == 7
         np.testing.assert_array_equal(np.flatnonzero(~kept_spots(slide)), [3])
-        assert "dropped_spots" not in ds.manifest  # it follows from the slide through kept_spots
+        assert not hasattr(ds.manifest, "dropped_spots")  # it follows from the slide through kept_spots
         # patches stay aligned with kept expression rows
         np.testing.assert_array_equal(ds.slides[0].patches[3], slide.patches[4])
 
@@ -217,8 +219,8 @@ class TestPreprocess:
     def test_manifest_records_the_panel_names(self):
         slide = make_slide(spots=12, genes=9)
         ds = preprocess([slide], hvg_num=4, train_ids=[slide.slide_id])
-        assert ds.manifest["hvg_gene_names"] == [slide.gene_names[i] for i in ds.manifest["hvg_indices"]]
-        assert ds.gene_names == ds.manifest["hvg_gene_names"]
+        assert ds.manifest.hvg_gene_names == tuple(slide.gene_names[i] for i in ds.manifest.hvg_indices)
+        assert ds.gene_names == list(ds.manifest.hvg_gene_names)
 
     def test_other_gene_order_rejected(self):
         slide = make_slide(spots=12, genes=9)
@@ -230,8 +232,7 @@ class TestPreprocess:
     @pytest.mark.parametrize("index", [9, -1])
     def test_index_outside_the_slide_rejected(self, index):
         slide = make_slide(spots=12, genes=9)
-        manifest = dict(preprocess([slide], hvg_num=4, train_ids=[slide.slide_id]).manifest)
-        manifest["hvg_indices"] = [0, index]
+        manifest = replace(preprocess([slide], hvg_num=4, train_ids=[slide.slide_id]).manifest, hvg_indices=(0, index))
         with pytest.raises(DataFormatError, match=f"{slide.slide_id}: gene_num=9 does not hold"):
             transform_slide(slide, manifest)
 
@@ -359,7 +360,7 @@ def test_settings_have_one_json_reader():
     assert _owners("typing.get_origin(") == [("data", "json_type_ok")]
     assert _owners("typing.get_args(") == [("data", "json_type_ok")] * 2
     calls = [owner for owner in _owners("config_from_json(") if owner != ("data", "config_from_json")]
-    assert calls == [("cli", "config_object"), ("contrastive", "load_checkpoint"), ("contrastive", "load_checkpoint")]
+    assert calls == [("cli", "config_object"), *[("contrastive", "load_checkpoint")] * 3]
 
 
 def test_read_json_names_the_file_and_a_missing_required_key(tmp_path):
@@ -384,11 +385,13 @@ def test_type_mismatch_shortens_the_value():
 
 
 def test_checkpoint_settings_are_parsed_once_when_it_loads():
-    # the encoder and train sections' calls in load_checkpoint, beside the CLI's call and the definition
+    # the encoder, train and preprocess sections' calls in load_checkpoint, beside the CLI's call and the definition
     load = ("contrastive", "load_checkpoint")
-    assert _owners("config_from_json(") == [("cli", "config_object"), load, load, ("data", "config_from_json")]
-    # a checkpoint holds typed settings; the only manifest read by key is a ProcessedDataset's own
-    assert _owners(".manifest[") == [("data", "train_slides"), ("data", "test_slides")]
+    assert _owners("config_from_json(") == [("cli", "config_object"), load, load, load, ("data", "config_from_json")]
+    # a checkpoint holds typed settings, its preprocessing manifest among them, so no manifest is read by key
+    for name in [f.name for f in fields(Preprocessing)]:
+        for text in (f'["{name}"]', f"['{name}']", f'get("{name}"'):
+            assert _owners(text) == [], text
 
 
 def test_no_module_reaches_into_another_modules_private_names():

@@ -1,10 +1,13 @@
 """Encoder contracts: shapes, unit norms, attention properties, gradient checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from stexp import diffcore as dc
 from stexp import encoders as enc
+from stexp.cli import ABLATION_TOGGLES
 
 
 def tiny_cfg(**overrides):
@@ -59,6 +62,32 @@ class TestConfig:
     def test_identity_image_path_needs_pixels(self):
         with pytest.raises(ValueError, match="image_identity flattens pixels"):
             tiny_cfg(patch_shape=None, input_feat_dim=5, image_identity=True)
+
+
+# the full model, each ablation variant of it, and precomputed features
+LAYOUT_CONFIGS = {"full": {}, **ABLATION_TOGGLES, "features": {"patch_shape": None, "input_feat_dim": 12}}
+
+
+class TestParamShapes:
+    @pytest.mark.parametrize("overrides", LAYOUT_CONFIGS.values(), ids=LAYOUT_CONFIGS.keys())
+    def test_names_and_shapes_are_those_init_params_makes(self, overrides):
+        cfg = tiny_cfg(conv_channels=(4, 6), **overrides)
+        params = enc.init_params(cfg, seed=0)
+        assert enc.param_shapes(cfg) == {name: t.shape for name, t in params.items()}
+
+    @pytest.mark.parametrize("cfg, digest", [
+        (enc.EncoderConfig(hvg_num=64, patch_shape=(3, 32, 32)), "30b31d0a7babd3d9"),  # the acceptance model
+        (tiny_cfg(), "a01cf037afbe7015"),  # grad-check's model
+        (tiny_cfg(patch_shape=None, input_feat_dim=12, use_mhsa=False), "3f12817c4c9bc406"),
+        (tiny_cfg(image_identity=True, use_positional=False), "b8ad8d8668db09b2"),
+    ], ids=["acceptance", "grad_check", "features_no_mhsa", "identity_no_positional"])
+    def test_init_params_draws_the_recorded_values(self, cfg, digest):
+        # values drawn before the layout came from param_shapes; a change of draw order or fan-in changes them
+        h = hashlib.sha256()
+        for name, t in enc.init_params(cfg, seed=3).items():
+            h.update(name.encode())
+            h.update(t.data.tobytes())
+        assert h.hexdigest()[:16] == digest
 
 
 class TestEncodePatch:
