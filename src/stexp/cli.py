@@ -76,11 +76,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 # The config dataclass behind each section, with the fields that no key sets:
-# the encoder's input fields and hvg_num come from the data, the seed is the
-# top-level key.
+# the encoder's input fields, hvg_num and n_positions come from the data, the
+# seed is the top-level key.
 _DATACLASS_SECTIONS = {
     "data": (GenConfig, ()),
-    "encoder": (EncoderConfig, ("hvg_num", "patch_shape", "input_feat_dim")),
+    "encoder": (EncoderConfig, ("hvg_num", "n_positions", "patch_shape", "input_feat_dim")),
     "train": (TrainConfig, ("seed",)),
 }
 
@@ -194,16 +194,13 @@ def config_object(config: dict, cls, **derived):
 
 
 def _encoder_config(config: dict, slides) -> EncoderConfig:
-    """The encoder keys plus hvg_num and the input shape, which the data decides; checked against its coordinates."""
+    """The encoder keys plus what the data decides: hvg_num, the input shape, and positional tables that cover every
+    slide's coord_max."""
     sample = slides[0]
-    enc_cfg = config_object(config, EncoderConfig, hvg_num=config["data"]["hvg_num"],
-                            patch_shape=None if sample.patches is None else sample.patches.shape[1:],
-                            input_feat_dim=None if sample.features is None else sample.features.shape[1])
-    coord_max = max(int(s.coords.max()) for s in slides)
-    if enc_cfg.use_positional and enc_cfg.n_positions <= coord_max:
-        raise ValidationError(f"config key encoder.n_positions={enc_cfg.n_positions} must exceed "
-                              f"the largest slide coordinate, {coord_max}")
-    return enc_cfg
+    return config_object(config, EncoderConfig, hvg_num=config["data"]["hvg_num"],
+                         n_positions=max(s.coord_max for s in slides),
+                         patch_shape=None if sample.patches is None else sample.patches.shape[1:],
+                         input_feat_dim=None if sample.features is None else sample.features.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -480,16 +480,20 @@ def save_index(index: RetrievalIndex, directory: str | Path) -> None:
 
 
 def load_index(directory: str | Path) -> RetrievalIndex:
-    """An index as save_index wrote it; its row count is the sum of the slides' counts, which both blobs must hold."""
+    """An index as save_index wrote it; its row count is the sum of the slides' counts, which both blobs must hold, and
+    an expression that is NaN or infinite is a DataFormatError naming expressions.f32, its row and its gene."""
     path = Path(directory) / "provenance.json"
     meta = read_json(path, required={"d_embed": int, "hvg_num": int, "slides": list})
     provenance = _provenance(meta["slides"], path)
     n, d, g = sum(count for _, count in provenance), meta["d_embed"], meta["hvg_num"]
-    index = RetrievalIndex(
-        embeddings=read_blob(path.parent / "embeddings.f32", "<f4", (n, d)),
-        expressions=read_blob(path.parent / "expressions.f32", "<f4", (n, g)),
-        provenance=provenance,
-    )
+    embeddings = read_blob(path.parent / "embeddings.f32", "<f4", (n, d))
+    expressions = read_blob(path.parent / "expressions.f32", "<f4", (n, g))
+    finite = np.isfinite(expressions)
+    if not finite.all():  # NaN or Inf would reach every prediction that retrieves the row
+        row, gene = np.argwhere(~finite)[0]
+        raise DataFormatError(f"{path.parent / 'expressions.f32'}: row {row} gene {gene} holds "
+                              f"{expressions[row, gene]}")
+    index = RetrievalIndex(embeddings=embeddings, expressions=expressions, provenance=provenance)
     index.bound  # derived while loading, so no search of a loaded index pays for it
     return index
 

@@ -425,6 +425,8 @@ ARTIFACT_CORRUPTIONS = [
     ("ck/params.f32", _param_value("spot_proj.w2", np.nan)),
     ("ck/params.f32", _param_value("img_proj.w2", np.inf)),
     ("idx/expressions.f32", _truncate),
+    # a NaN reference expression would make predict write NaN predictions and exit 0
+    ("idx/expressions.f32", _first_value(np.nan)),
     ("pred/expression.f32", _truncate),
     # a NaN prediction would fail only in the domain clustering, naming neither the file nor the value
     ("pred/expression.f32", _first_value(np.nan)),
@@ -898,24 +900,15 @@ class TestPreflight:
         assert f"{ck / 'params.f32'} is " in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("use_positional, rc", [("true", 1), ("false", 2)])
-    def test_positional_table_smaller_than_coordinates(self, pipeline, tmp_path, capsys, monkeypatch,
-                                                       use_positional, rc):
-        root, cfg = pipeline
-
-        def preprocess(*args, **kwargs):
-            raise RuntimeError("preprocess reached")
-
-        monkeypatch.setattr(cli, "preprocess", preprocess)
-        monkeypatch.setattr(cli, "fit", lambda *a, **k: pytest.fail("fit called before the check"))
-        out = tmp_path / "ck"
-        assert main(["train", "--config", str(cfg), "--set", "encoder.n_positions=4",
-                     "--set", f"encoder.use_positional={use_positional}",
-                     "--data", str(root / "data"), "--out", str(out)]) == rc
-        err = capsys.readouterr().err
-        assert ("config key encoder.n_positions=4" in err) == (rc == 1)  # the table is unused without it
-        assert ("preprocess reached" in err) == (rc == 2)
-        assert not out.exists()
+    def test_positional_tables_cover_the_data_coordinates(self, tmp_path):
+        # n_positions is no config key: the tables have one row per coordinate value the slides allow
+        cfg = micro_config(tmp_path)
+        args = ["--config", str(cfg), "--seed", "7"]
+        assert main(["gen-data", *args, "--set", "data.coord_max=64", "--out", str(tmp_path / "data")]) == 0
+        assert main(["train", *args, "--data", str(tmp_path / "data"), "--out", str(tmp_path / "ck")]) == 0
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        assert manifest["encoder"]["n_positions"] == 64
+        assert load_checkpoint(tmp_path / "ck").params["pos.wx"].shape == (64, 8)
 
     @pytest.mark.parametrize("assignment, key", [
         ("eval.clusters=0", "eval.clusters"),
@@ -1063,7 +1056,7 @@ CHANGED_VALUES = {
     "data.slides": 2, "data.spots_per_slide": 24, "data.gene_num": 24, "data.domains": 3,
     "data.signal": 0.5, "data.patch": [3, 8, 8], "data.coord_max": 64, "data.library_size": 1000,
     "data.hvg_num": 8,
-    "encoder.d_embed": 16, "encoder.n_heads": 2, "encoder.n_positions": 512,  # above every coordinate
+    "encoder.d_embed": 16, "encoder.n_heads": 2,
     "encoder.conv_channels": [6], "encoder.proj_hidden": 16, "encoder.use_positional": False,
     "encoder.use_mhsa": False, "encoder.image_identity": True,
     "train.batch_size": 8, "train.epochs": 3, "train.learning_rate": 2e-3, "train.temperature": 0.1,
@@ -1081,7 +1074,7 @@ class TestSchema:
         assert set(cli.SCHEMA) == set(CHANGED_VALUES)
 
     def test_every_field_has_exactly_one_key(self):
-        derived = {(EncoderConfig, n) for n in ("hvg_num", "patch_shape", "input_feat_dim")}
+        derived = {(EncoderConfig, n) for n in ("hvg_num", "n_positions", "patch_shape", "input_feat_dim")}
         derived.add((TrainConfig, "seed"))
         owned = [(key.owner, key.field) for key in cli.SCHEMA.values() if key.owner is not None]
         for cls in (GenConfig, EncoderConfig, TrainConfig):
@@ -1093,7 +1086,7 @@ class TestSchema:
         config = cli.default_config()
         assert cli.config_object(config, GenConfig) == GenConfig()
         assert cli.config_object(config, TrainConfig, seed=config["seed"]) == TrainConfig()
-        inputs = {"hvg_num": 64, "patch_shape": (3, 32, 32), "input_feat_dim": None}
+        inputs = {"hvg_num": 64, "n_positions": 256, "patch_shape": (3, 32, 32), "input_feat_dim": None}
         assert cli.config_object(config, EncoderConfig, **inputs) == EncoderConfig(**inputs)
 
     @pytest.mark.parametrize("dotted", sorted(CHANGED_VALUES))
@@ -1167,6 +1160,15 @@ def test_pipeline_diff_runs_the_micro_config(tmp_path):
         (np.arange(6) + [0, moved, 0, 0, -moved, 0]).astype("<f4").tofile(tmp_path / side / "ck" / "params.f32")
     assert tool.blob_differences(tmp_path / "a", tmp_path / "b") == [
         "ck/params.f32: 6 elements, 2 differ, max |a - b| 0.25"]
+    manifest = {"encoder": {"d_embed": 16, "n_heads": 2}, "params": [{"name": "w", "shape": [2, 3]}],
+                "loss_history": [2.5, 2.25, 2.0]}
+    edited = {"encoder": {"d_embed": 16, "n_heads": 4, "use_mhsa": True}, "loss_history": [2.5, 2.0, 1.5]}
+    for side, value, indent in (("a", manifest, None), ("b", edited, 1)):
+        (tmp_path / side / "ck" / "manifest.json").write_text(json.dumps(value))
+        (tmp_path / side / "echo.json").write_text(json.dumps({"k": 5}, indent=indent))
+    assert tool.json_differences(tmp_path / "a", tmp_path / "b") == [
+        "ck/manifest.json: removed params; added encoder.use_mhsa; 3 values changed",
+        "echo.json: same values, other bytes"]
 
 
 def test_readme_config_example_resolves(tmp_path):

@@ -609,6 +609,15 @@ class TestIndexPersistence:
         with pytest.raises(ValueError, match=blob):
             load_index(tmp_path / "idx")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_expression_refused_naming_the_first(self, tmp_path, value):
+        index = make_index()
+        expressions = index.expressions.copy()
+        expressions[7, 3] = expressions[12, 0] = value
+        save_index(RetrievalIndex(index.embeddings, expressions, index.provenance), tmp_path / "idx")
+        with pytest.raises(DataFormatError, match=rf"expressions\.f32: row 7 gene 3 holds {value}"):
+            load_index(tmp_path / "idx")
+
     def test_count_one_short_names_the_blob(self, tmp_path):
         save_index(make_index(), tmp_path / "idx")
         path = tmp_path / "idx" / "provenance.json"

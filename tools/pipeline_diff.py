@@ -8,7 +8,9 @@ same config and seed: gen-data, train --holdout slide_001, embed, predict, eval,
 toggles and --k-sweep 1,5) and grad-check --out. The script prints `diff -r` of the two output trees and the
 diffs of the commands' stdout and stderr (log lines and warnings), and exits 0 only when all three are identical.
 For each float32 blob (`.f32`) that differs between the trees it also prints the element count, how many elements
-differ and the largest |a - b|, so a change of summation order can be told from a bug at a glance.
+differ and the largest |a - b|, so a change of summation order can be told from a bug at a glance. For each `.json`
+file that differs it prints the dotted keys removed and added and how many other values changed, so a format change
+reads as one line.
 """
 
 from __future__ import annotations
@@ -81,6 +83,38 @@ def blob_differences(a: Path, b: Path) -> list[str]:
     return lines
 
 
+def _compare(x, y, prefix: str = "") -> tuple[list[str], list[str], int]:
+    """The dotted keys only JSON value x holds, those only y holds, and how many of the other values differ; list items
+    are keyed by position when both lists have one length."""
+    if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        x, y = dict(enumerate(x)), dict(enumerate(y))
+    if not (isinstance(x, dict) and isinstance(y, dict)):
+        return [], [], int(x != y)
+    removed = [f"{prefix}{key}" for key in x if key not in y]
+    added = [f"{prefix}{key}" for key in y if key not in x]
+    changed = 0
+    for key in x:
+        if key in y:
+            inner = _compare(x[key], y[key], f"{prefix}{key}.")
+            removed, added, changed = removed + inner[0], added + inner[1], changed + inner[2]
+    return removed, added, changed
+
+
+def json_differences(a: Path, b: Path) -> list[str]:
+    """One line per .json file under both a and b whose bytes differ: the keys removed and added, the values changed."""
+    lines = []
+    for path_a in sorted(a.rglob("*.json")):
+        rel = path_a.relative_to(a)
+        path_b = b / rel
+        if not path_b.exists() or path_a.read_bytes() == path_b.read_bytes():
+            continue
+        removed, added, changed = _compare(json.loads(path_a.read_text()), json.loads(path_b.read_text()))
+        parts = [f"{verb} {', '.join(keys)}" for verb, keys in (("removed", removed), ("added", added)) if keys]
+        parts += [f"{changed} values changed"] if changed else []
+        lines.append(f"{rel}: {'; '.join(parts) or 'same values, other bytes'}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -100,7 +134,8 @@ def main(argv: list[str]) -> int:
             diff = subprocess.run(["diff", "-r", f"a/{what}", f"b/{what}"], cwd=tmp, stdout=subprocess.PIPE, text=True)
             print(diff.stdout, end="")
             identical &= diff.returncode == 0
-        for line in blob_differences(tmp / "a" / "out", tmp / "b" / "out"):
+        out_a, out_b = tmp / "a" / "out", tmp / "b" / "out"
+        for line in blob_differences(out_a, out_b) + json_differences(out_a, out_b):
             print(line)
     print("identical" if identical else "outputs differ")
     return 0 if identical else 1
