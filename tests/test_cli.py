@@ -18,7 +18,7 @@ from stexp import cli
 from stexp import diffcore as dc
 from stexp.cli import main
 from stexp.contrastive import TrainConfig, load_checkpoint
-from stexp.data import GenConfig, load_dataset, save_slide
+from stexp.data import GenConfig, Preprocessing, load_dataset, save_slide
 from stexp.encoders import EncoderConfig, param_shapes
 
 
@@ -383,22 +383,23 @@ def _parent_format(path: Path) -> None:
 CHECKPOINT_FIELD_CORRUPTIONS = [
     (_set("preprocess.target_sum", 5000), "field preprocess: Preprocessing: target_sum=5000 is not supported"),
     (_set("preprocess.transform", "sqrt"), "field preprocess: Preprocessing: transform='sqrt' is not supported"),
-    (_set("preprocess.transform", None), "preprocess.transform"),
     (_parent_format, "encoder.input_kind"),
-    # a missing or mistyped nested field, named by its dotted path
-    (_set("preprocess.hvg_indices", None), "preprocess.hvg_indices"),
-    (_set("preprocess.train_ids", None), "preprocess.train_ids"),
+    # a settings section of another type than an object
     (_set("encoder", []), "encoder"),
     (_set("train", []), "train"),
+    (_set("preprocess", []), "preprocess"),
     # a field of another type than its annotation, in a settings section
     (_set("encoder.use_mhsa", 0), "encoder.use_mhsa"),
     (_set("encoder.d_embed", "16"), "encoder.d_embed"),
     (_set("train.batch_size", 8.5), "train.batch_size"),
     (_set("preprocess.hvg_indices", "0,1"), "preprocess.hvg_indices"),
+    (_set("preprocess.hvg_indices", [0, 1.5]), "preprocess.hvg_indices"),
+    (_set("preprocess.hvg_gene_names", [7]), "preprocess.hvg_gene_names"),
+    (_set("preprocess.train_ids", "slide_000"), "preprocess.train_ids"),
     # every setting is required, each missing one named: a field added to a config gets its row here
     *((_set(f"{section}.{f.name}", None), f"{section}.{f.name}")
-      for section, cls in (("encoder", EncoderConfig), ("train", TrainConfig)) for f in dataclasses.fields(cls)),
-    (_set("preprocess.hvg_gene_names", None), "preprocess.hvg_gene_names"),
+      for section, cls in (("encoder", EncoderConfig), ("train", TrainConfig), ("preprocess", Preprocessing))
+      for f in dataclasses.fields(cls)),
     (_set("loss_history", None), "loss_history"),
     # an earlier release wrote the zero-count spots that preprocessing drops, which follow from the slides
     (_set("preprocess.dropped_spots", {}), "preprocess.dropped_spots"),
